@@ -263,7 +263,7 @@ COMMENTARY = {
         "benchmarks/results/BENCH_B7.json; CI's fleet-smoke job re-checks the bars from it.",
     ),
     "B7_serve": (
-        "B7 — job server execution planes: thread vs process",
+        "B7b — job server execution planes: thread vs process",
         "repro serve --execution process dispatches each job's cells through the crash-containing\n"
         "process pool of the engine layer (per-job worker budget = cores split across job slots,\n"
         "floored at 2) while keeping the durable-sink, progress, and SSE semantics of the thread\n"
@@ -285,6 +285,22 @@ COMMENTARY = {
         "lands in benchmarks/results/BENCH_B8.json; CI's corpus-smoke job re-runs the vendored\n"
         "sweep and checks the summary against the committed golden.",
     ),
+    "B9_flagship_glue": (
+        "B9 — flagship jit solve: glue cut from the Linial and mother stages",
+        "The flagship cell (grid, n = 10^6, Delta = 4, delta_plus_one on backend=\"jit\") spent more\n"
+        "time in the glue around the compiled kernels than in the kernels.  Three pieces went:\n"
+        "the jit driver now derives each vertex's sequence digits with a fourth compiled kernel\n"
+        "(KernelProvider.sequence_coeffs) instead of f + 1 NumPy modulo-and-divide passes; linial_coloring's\n"
+        "ID-uniqueness check is one sort plus an adjacent-equality scan instead of a hash-based\n"
+        "np.unique; and the Corollary 1.2 wrappers derive the Theorem 1.1 orientation only for\n"
+        "outdegree_coloring.  Every check still runs and the colors digest is unchanged.  Rows\n"
+        "are medians over interleaved before/after pairs of perfbench/run.py --workload\n"
+        "flagship-jit (--trace 0 for solve_s, --trace 1 for the stages), recorded with\n"
+        "scripts/compare_flagship_trace.py; a kernel replay is the engine's run_mother on the\n"
+        "step's own inputs with the orientation and input check off, so the replay row now\n"
+        "includes the compiled digit pass.  The raw samples land in\n"
+        "benchmarks/results/BENCH_B9.json.",
+    ),
     "E10_baselines": (
         "E10 — baselines",
         "The mother algorithm at k = 1 matches the locally-iterative (BEG18) regime; adding\n"
@@ -301,7 +317,7 @@ ORDER = [
     "E5_defective", "E6_delta_plus_one", "E7_theorem13", "E8_ruling_sets",
     "E9_one_round", "E10_baselines", "B1_batch_backends", "B2_parallel",
     "B3_kernels", "B4_scale", "B5_jit", "B6_serve", "B7_fleet", "B7_serve",
-    "B8_corpus",
+    "B8_corpus", "B9_flagship_glue",
 ]
 
 

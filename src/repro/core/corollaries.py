@@ -14,6 +14,12 @@ corollary (for a ``Delta^4``-input coloring) are exposed by
 4. ``outdegree_coloring``       — ``k = 1``, ``d = beta``: ``beta``-outdegree ``O(Delta/beta)``-coloring in ``O(Delta/beta)`` rounds.
 5. ``defective_coloring_one_round`` — ``k`` = one batch, defect ``d``: ``d``-defective ``O((Delta/d)^2)``-coloring in 1 round.
 6. ``defective_coloring``       — ``k = 1``, defect ``d``, output ``(color, part)``: same color bound in ``O(Delta/d)`` rounds.
+
+The orientation of Theorem 1.1 (1) is derived only when asked for: the shared
+``_run`` helper defaults to ``with_orientation=False``, and
+``outdegree_coloring`` — the one corollary whose output is the orientation —
+is the only caller that passes ``True``.  Every other result carries
+``orientation=None``.
 """
 
 from __future__ import annotations
@@ -46,7 +52,7 @@ def _run(
     k,
     backend: str | Engine,
     vectorized: bool | None,
-    with_orientation=True,
+    with_orientation=False,
     params=None,
     validate_input=True,
 ):
@@ -184,8 +190,7 @@ def defective_coloring(
     delta = max(1, graph.max_degree)
     if not (1 <= d <= delta - 1):
         raise ValueError(f"d must satisfy 1 <= d <= Delta - 1, got d={d}, Delta={delta}")
-    base = _run(graph, input_colors, m, d, 1, backend, vectorized, with_orientation=False,
-                validate_input=validate_input)
+    base = _run(graph, input_colors, m, d, 1, backend, vectorized, validate_input=validate_input)
     if base.parts is None:  # pragma: no cover - defensive
         raise RuntimeError("mother algorithm did not report parts")
     stride = int(base.parts.max(initial=0)) + 1

@@ -2,18 +2,22 @@
 system compiler, loaded via :mod:`ctypes`.
 
 When numba is not installed (the preferred tier, see
-:mod:`repro.core.kernels_jit`) but a C compiler is on PATH, the three hot
-kernels are compiled *once* from the embedded source below into a small
-shared library and called through :mod:`ctypes` — ctypes foreign calls drop
-the GIL, and the kernels multi-thread their per-vertex loops with OpenMP
-when the toolchain supports it (``REPRO_NUM_THREADS`` caps the team size).
+:mod:`repro.core.kernels_jit`) but a C compiler is on PATH, the four
+kernels (the sequence-digit pass and the three hot primitives) are compiled
+*once* from the embedded source below into a small shared library and called
+through :mod:`ctypes` — ctypes foreign calls drop the GIL, and the kernels
+multi-thread their per-vertex loops with OpenMP when the toolchain supports
+it (``REPRO_NUM_THREADS`` caps the team size).
 
 The C code is a line-for-line translation of the pure-Python kernels in
 :mod:`repro.core.kernels_jit` (the single source of semantics, parity-tested
 against the array backend), operating on the same int64 CSR arrays and
 caller-provided :class:`~repro.core.workspace.Workspace` scratch.  All
 arithmetic is non-negative int64 modular arithmetic, so the results are
-bit-identical to both the NumPy and the numba tiers.
+bit-identical to both the NumPy and the numba tiers.  The ctypes wrappers
+check that ABI at the boundary: an array that is not C-contiguous int64
+(1-byte for the flag and scratch arrays) raises :class:`TypeError` instead
+of being read through a wrong-typed pointer.
 
 Build artifacts are content-addressed: the library lands in
 ``$REPRO_JIT_CACHE`` (default ``~/.cache/repro/jit``) under a hash of the
@@ -55,6 +59,22 @@ static inline int64_t horner(const int64_t *c, int64_t f1, int64_t x, int64_t q)
     for (int64_t j = f1 - 1; j >= 0; j--)
         acc = (acc * x + c[j]) % q;
     return acc;
+}
+
+void repro_sequence_coeffs(int64_t n, const int64_t *colors, int64_t q,
+                           int64_t f1, int64_t *out)
+{
+#ifdef _OPENMP
+#pragma omp parallel for schedule(static)
+#endif
+    for (int64_t r = 0; r < n; r++) {
+        int64_t rest = colors[r] + q;
+        int64_t *row = out + r * f1;
+        for (int64_t j = 0; j < f1; j++) {
+            row[j] = rest % q;
+            rest /= q;
+        }
+    }
 }
 
 void repro_mother_first(int64_t nact, const int64_t *act,
@@ -249,11 +269,21 @@ def build_library(cache_dir: str | os.PathLike | None = None
         return None
 
 
+def _abi_error(array: np.ndarray, want: str) -> TypeError:
+    layout = "C-contiguous" if array.flags.c_contiguous else "non-contiguous"
+    return TypeError(f"kernel ABI: expected a C-contiguous {want} array, "
+                     f"got {layout} {array.dtype}")
+
+
 def _p64(array: np.ndarray):
+    if array.dtype != np.int64 or not array.flags.c_contiguous:
+        raise _abi_error(array, "int64")
     return array.ctypes.data_as(POINTER(c_int64))
 
 
 def _pu8(array: np.ndarray):
+    if array.dtype not in (np.bool_, np.uint8) or not array.flags.c_contiguous:
+        raise _abi_error(array, "bool/uint8")
     return array.ctypes.data_as(POINTER(c_uint8))
 
 
@@ -262,12 +292,16 @@ class _CcKernels:
 
     The contract mirrors the pure-Python kernels: int64 C-contiguous CSR and
     index arrays, ``active`` as a 1-byte bool array, ``used`` as uint8
-    scratch.  Callers (the jit drivers) construct arrays with exactly these
-    dtypes, so no conversion happens here.
+    scratch.  Every pointer is taken through :func:`_p64` / :func:`_pu8`,
+    which reject any other dtype or layout; nothing is converted here.
     """
 
     def __init__(self, lib: ctypes.CDLL):
         self._lib = lib
+        lib.repro_sequence_coeffs.restype = None
+        lib.repro_sequence_coeffs.argtypes = [
+            c_int64, POINTER(c_int64), c_int64, c_int64, POINTER(c_int64),
+        ]
         lib.repro_mother_first.restype = None
         lib.repro_mother_first.argtypes = [
             c_int64, POINTER(c_int64), POINTER(c_int64), POINTER(c_int64),
@@ -296,6 +330,14 @@ class _CcKernels:
 
     def threads(self) -> int:
         return int(self._lib.repro_get_threads())
+
+    def sequence_coeffs(self, colors, q, out) -> None:
+        if colors.ndim != 1 or out.ndim != 2 or out.shape[0] != colors.size:
+            raise ValueError(f"sequence_coeffs: out shape {out.shape} does not "
+                             f"match {colors.size} colors")
+        self._lib.repro_sequence_coeffs(
+            colors.size, _p64(colors), q, out.shape[1], _p64(out),
+        )
 
     def mother_first(self, act, indptr, indices, coeffs, q, keff, d, active,
                      colors, lo, hi, first, firstval) -> None:
@@ -337,6 +379,7 @@ def cc_provider(cache_dir: str | os.PathLike | None = None):
         kind="cc",
         version=str(info.get("compiler", "cc")),
         threads=threads,
+        sequence_coeffs=kernels.sequence_coeffs,
         mother_first=kernels.mother_first,
         remove_class=kernels.remove_class,
         kw_round=kernels.kw_round,

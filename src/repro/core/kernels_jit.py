@@ -17,6 +17,10 @@ intermediates and scatter-adds them with ``bincount``, a compiled kernel
 * never allocates: callers pass scratch from the existing
   :class:`repro.core.workspace.Workspace` arena.
 
+A fourth kernel derives the polynomials the mother kernel evaluates: each
+vertex's base-``q`` digits of its input color, one row per vertex, in place of
+the NumPy twin's ``f + 1`` whole-array ``%``/``//`` passes.
+
 The kernels below are **pure Python and numba-compilable**: the ``numba``
 tier wraps them verbatim with ``@njit(cache=True, parallel=True,
 nogil=True)`` so ``prange`` fans the per-vertex loop across threads.  When
@@ -79,6 +83,25 @@ __all__ = [
 # the array backend so the logic is parity-checked even where numba is not
 # installed.
 # --------------------------------------------------------------------------- #
+
+
+def _kernel_sequence_coeffs(colors, q, out):
+    """Each vertex's color-sequence polynomial: the base-``q`` digits of its
+    input color ``+ q``.
+
+    ``out`` is ``(n, f + 1)``; row ``r`` receives the ``f + 1`` low digits of
+    ``colors[r] + q`` (the offset skips the constant polynomials, see
+    :mod:`repro.core.sequences`), exactly as
+    :func:`repro.core.vectorized.sequence_coefficients` computes them.  All
+    operands are non-negative, so floor and truncating division agree.
+    Writes only row ``r``.
+    """
+    f1 = out.shape[1]
+    for r in prange(colors.shape[0]):
+        rest = colors[r] + q
+        for j in range(f1):
+            out[r, j] = rest % q
+            rest //= q
 
 
 def _kernel_mother_first(act, indptr, indices, coeffs, q, keff, d, active,
@@ -190,11 +213,12 @@ def _kernel_kw_round(verts, indptr, indices, colors, block, target, used):
 
 @dataclass
 class KernelProvider:
-    """A resolved compiled-kernel tier: the three kernels plus provenance."""
+    """A resolved compiled-kernel tier: the four kernels plus provenance."""
 
     kind: str  # "numba" | "cc" | "python"
     version: str
     threads: int
+    sequence_coeffs: Callable[..., None]
     mother_first: Callable[..., None]
     remove_class: Callable[..., None]
     kw_round: Callable[..., None]
@@ -230,6 +254,7 @@ def _numba_provider() -> KernelProvider | None:
             kind="numba",
             version=str(numba.__version__),
             threads=int(numba.get_num_threads()),
+            sequence_coeffs=njit(**flags)(_kernel_sequence_coeffs),
             mother_first=njit(**flags)(_kernel_mother_first),
             remove_class=njit(**flags)(_kernel_remove_class),
             kw_round=njit(**flags)(_kernel_kw_round),
@@ -251,6 +276,7 @@ def python_provider() -> KernelProvider:
         kind="python",
         version=platform.python_version(),
         threads=1,
+        sequence_coeffs=_kernel_sequence_coeffs,
         mother_first=_kernel_mother_first,
         remove_class=_kernel_remove_class,
         kw_round=_kernel_kw_round,
@@ -317,7 +343,8 @@ def run_mother_jit(
 
     The Python driver keeps the exact batch structure of the array twin —
     refresh the active-vertex frontier only after adoptions, adopt the first
-    qualifying trial — and delegates the per-batch scan to
+    qualifying trial — and delegates the digit pass to
+    ``kernels.sequence_coeffs`` and the per-batch scan to
     ``kernels.mother_first``.  With ``kernels=None`` the process-wide provider
     is used; if none is available the call transparently runs the array twin.
     """
@@ -337,9 +364,7 @@ def run_mother_jit(
             workspace=workspace,
         )
 
-    from repro.core.vectorized import sequence_coefficients
-
-    input_colors = np.asarray(input_colors, dtype=np.int64)
+    input_colors = np.ascontiguousarray(input_colors, dtype=np.int64)
     delta = max(1, graph.max_degree)
     if validate_input:
         validate_proper_coloring(graph, input_colors, m)
@@ -359,7 +384,8 @@ def run_mother_jit(
         )
 
     q, k_eff, dd = params.q, params.k, params.d
-    coeffs = np.ascontiguousarray(sequence_coefficients(input_colors, params))
+    coeffs = np.empty((n, params.f + 1), dtype=np.int64)
+    kernels.sequence_coeffs(input_colors, q, coeffs)
     ws = workspace if workspace is not None else Workspace()
     indptr, indices = graph.indptr, graph.indices
 

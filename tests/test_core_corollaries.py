@@ -58,6 +58,27 @@ class TestDeltaSquared:
         assert_proper_coloring(graph, res.colors)
 
 
+class TestOrientationOnlyWhenConsumed:
+    """Only ``outdegree_coloring`` derives the Theorem 1.1 (1) orientation."""
+
+    @pytest.mark.parametrize("backend", ["reference", "array", "jit"])
+    def test_non_orientation_corollaries_return_none(self, workload, backend):
+        graph, colors, m = workload
+        results = {
+            "linial_color_reduction": corollaries.linial_color_reduction(
+                graph, colors, m, backend=backend),
+            "kdelta_coloring": corollaries.kdelta_coloring(graph, colors, m, k=2, backend=backend),
+            "delta_squared_coloring": corollaries.delta_squared_coloring(
+                graph, colors, m, backend=backend),
+            "defective_coloring_one_round": corollaries.defective_coloring_one_round(
+                graph, colors, m, d=1, backend=backend),
+            "defective_coloring": corollaries.defective_coloring(
+                graph, colors, m, d=1, backend=backend),
+        }
+        for name, res in results.items():
+            assert res.orientation is None, name
+
+
 class TestOutdegreeColoring:
     @pytest.mark.parametrize("beta", [1, 2, 4])
     def test_orientation_bound(self, workload, beta):
@@ -65,6 +86,13 @@ class TestOutdegreeColoring:
         res = corollaries.outdegree_coloring(graph, colors, m, beta=beta)
         assert_outdegree_orientation(graph, res.colors, res.orientation, beta)
         assert res.rounds <= bounds.corollary12_4_rounds(graph.max_degree, beta) + 1
+
+    @pytest.mark.parametrize("backend", ["reference", "array", "jit"])
+    def test_orientation_on_every_backend(self, workload, backend):
+        graph, colors, m = workload
+        res = corollaries.outdegree_coloring(graph, colors, m, beta=2, backend=backend)
+        assert res.orientation is not None
+        assert_outdegree_orientation(graph, res.colors, res.orientation, 2)
 
     def test_invalid_beta(self, workload):
         graph, colors, m = workload

@@ -39,6 +39,43 @@ class TestLinialColoring:
         with pytest.raises(ValueError):
             linial_coloring(g, ids=np.array([1, 1, 2, 3, 4]))
 
+    @pytest.mark.parametrize("where", ["adjacent", "far-apart", "permuted"])
+    @pytest.mark.parametrize("backend", ["reference", "array", "jit"])
+    def test_duplicates_rejected_wherever_they_sit(self, where, backend):
+        n = 400
+        g = generators.random_regular(n, 4, seed=5)
+        rng = np.random.default_rng(5)
+        ids = rng.choice(10**12, size=n, replace=False).astype(np.int64)
+        if where == "adjacent":
+            ids[1] = ids[0]
+        elif where == "far-apart":
+            ids[n - 1] = ids[0]
+        else:
+            ids[17] = ids[301]
+            ids = ids[rng.permutation(n)]
+        with pytest.raises(ValueError, match="ids must be unique"):
+            linial_coloring(g, ids=ids, backend=backend)
+
+    def test_duplicate_extremes_rejected(self):
+        g = generators.ring(4)
+        with pytest.raises(ValueError, match="ids must be unique"):
+            linial_coloring(g, ids=np.array([2**62, 0, 5, 2**62]))
+        with pytest.raises(ValueError, match="ids must be unique"):
+            linial_coloring(g, ids=np.array([0, 0, 0, 0]))
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_trivial_id_arrays_accepted(self, n):
+        g = generators.empty_graph(n)
+        for ids in (None, np.arange(n, dtype=np.int64) + 7):
+            res = linial_coloring(g, ids=ids)
+            assert res.colors.shape == (n,)
+
+    def test_unique_unsorted_ids_accepted(self):
+        g = generators.random_regular(200, 4, seed=6)
+        ids = np.random.default_rng(6).permutation(200).astype(np.int64) * 1000 + 3
+        res = linial_coloring(g, ids=ids, backend="array")
+        assert_proper_coloring(g, res.colors)
+
     def test_custom_target(self):
         g = generators.random_regular(100, 4, seed=4)
         res = linial_coloring(g, seed=4, target_colors=10_000)
