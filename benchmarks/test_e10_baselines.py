@@ -2,21 +2,23 @@
 
 import pytest
 
-from repro.analysis.experiments import delta4_colored_graph, run_e10
+from repro.analysis.experiments import run_experiment
 from repro.core import baselines
 from repro.core.corollaries import kdelta_coloring
 from repro.core.reduce import kuhn_wattenhofer_reduction, remove_color_class_reduction
+from repro.engine.batch import BatchRunner, GraphSpec
 from repro.verify.coloring import assert_proper_coloring
 
 
 def test_e10_regenerate_table(benchmark, record_table):
-    table = benchmark.pedantic(run_e10, kwargs=dict(n=300, delta=16), rounds=1, iterations=1)
+    table = benchmark.pedantic(run_experiment, args=("E10",), rounds=1, iterations=1)
     record_table("E10_baselines", table)
     assert len(table.rows) >= 7
 
 
 def test_e10_kernel_beg18_baseline(benchmark):
-    graph, colors, m = delta4_colored_graph("random_regular", 400, 16, seed=10)
+    w = BatchRunner().workload(GraphSpec("random_regular", 400, 16, 10))
+    graph, colors, m = w.graph, w.input_colors, w.m
 
     def kernel():
         return baselines.locally_iterative_beg18(graph, colors, m, backend="array")
@@ -26,7 +28,8 @@ def test_e10_kernel_beg18_baseline(benchmark):
 
 
 def test_e10_kernel_kw_reduction(benchmark):
-    graph, colors, m = delta4_colored_graph("random_regular", 400, 16, seed=10)
+    w = BatchRunner().workload(GraphSpec("random_regular", 400, 16, 10))
+    graph, colors, m = w.graph, w.input_colors, w.m
     start = kdelta_coloring(graph, colors, m, k=1, backend="array")
 
     def kernel():
@@ -37,7 +40,8 @@ def test_e10_kernel_kw_reduction(benchmark):
 
 
 def test_e10_kernel_class_removal(benchmark):
-    graph, colors, m = delta4_colored_graph("random_regular", 400, 16, seed=10)
+    w = BatchRunner().workload(GraphSpec("random_regular", 400, 16, 10))
+    graph, colors, m = w.graph, w.input_colors, w.m
     start = kdelta_coloring(graph, colors, m, k=1, backend="array")
 
     def kernel():
@@ -48,7 +52,7 @@ def test_e10_kernel_class_removal(benchmark):
 
 
 def test_e10_kernel_luby(benchmark):
-    graph, _, _ = delta4_colored_graph("random_regular", 400, 16, seed=10)
+    graph = BatchRunner().graph(GraphSpec("random_regular", 400, 16, 10))
 
     def kernel():
         return baselines.luby_randomized_coloring(graph, seed=10)

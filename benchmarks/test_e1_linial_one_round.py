@@ -6,13 +6,14 @@ and times the one-round reduction kernel on a larger instance.
 
 import pytest
 
-from repro.analysis.experiments import delta4_colored_graph, run_e1
+from repro.analysis.experiments import run_experiment
 from repro.core import corollaries
+from repro.engine.batch import BatchRunner, GraphSpec
 from repro.verify.coloring import assert_proper_coloring
 
 
 def test_e1_regenerate_table(benchmark, record_table):
-    table = benchmark.pedantic(run_e1, kwargs=dict(n=300, deltas=(4, 8, 16)), rounds=1, iterations=1)
+    table = benchmark.pedantic(run_experiment, args=("E1",), rounds=1, iterations=1)
     record_table("E1_linial_one_round", table)
     assert all(r == 1 for r in table.column("rounds"))
     for used, space, bound in zip(
@@ -24,7 +25,8 @@ def test_e1_regenerate_table(benchmark, record_table):
 
 @pytest.mark.parametrize("delta", [8, 16, 32])
 def test_e1_kernel_one_round_reduction(benchmark, delta):
-    graph, colors, m = delta4_colored_graph("random_regular", 1000, delta, seed=1)
+    w = BatchRunner().workload(GraphSpec("random_regular", 1000, delta, 1))
+    graph, colors, m = w.graph, w.input_colors, w.m
 
     def kernel():
         return corollaries.linial_color_reduction(graph, colors, m, backend="array")

@@ -6,13 +6,14 @@ extremes of the trade-off (k = 1 and a single-batch k).
 
 import pytest
 
-from repro.analysis.experiments import delta4_colored_graph, run_e2
+from repro.analysis.experiments import run_experiment
 from repro.core import corollaries
+from repro.engine.batch import BatchRunner, GraphSpec
 from repro.verify.coloring import assert_proper_coloring
 
 
 def test_e2_regenerate_table(benchmark, record_table):
-    table = benchmark.pedantic(run_e2, kwargs=dict(n=400, delta=16), rounds=1, iterations=1)
+    table = benchmark.pedantic(run_experiment, args=("E2",), rounds=1, iterations=1)
     record_table("E2_rounds_vs_k", table)
     rounds = table.column("rounds")
     # rounds are non-increasing in k; color budget grows with k
@@ -23,7 +24,8 @@ def test_e2_regenerate_table(benchmark, record_table):
 
 @pytest.mark.parametrize("k", [1, 4, 16, 64])
 def test_e2_kernel_k_sweep(benchmark, k):
-    graph, colors, m = delta4_colored_graph("random_regular", 800, 16, seed=2)
+    w = BatchRunner().workload(GraphSpec("random_regular", 800, 16, 2))
+    graph, colors, m = w.graph, w.input_colors, w.m
 
     def kernel():
         return corollaries.kdelta_coloring(graph, colors, m, k=k, backend="array")

@@ -2,13 +2,14 @@
 
 import pytest
 
-from repro.analysis.experiments import delta4_colored_graph, run_e3
+from repro.analysis.experiments import run_experiment
 from repro.core import corollaries
+from repro.engine.batch import BatchRunner, GraphSpec
 from repro.verify.coloring import assert_proper_coloring
 
 
 def test_e3_regenerate_table(benchmark, record_table):
-    table = benchmark.pedantic(run_e3, kwargs=dict(n=400, deltas=(8, 16, 32)), rounds=1, iterations=1)
+    table = benchmark.pedantic(run_experiment, args=("E3",), rounds=1, iterations=1)
     record_table("E3_delta_squared", table)
     assert all(r <= 256 for r in table.column("rounds"))
     for used, bound in zip(table.column("colors used"), table.column("color bound Delta^2")):
@@ -17,7 +18,8 @@ def test_e3_regenerate_table(benchmark, record_table):
 
 @pytest.mark.parametrize("delta", [16, 32])
 def test_e3_kernel(benchmark, delta):
-    graph, colors, m = delta4_colored_graph("random_regular", 600, delta, seed=3)
+    w = BatchRunner().workload(GraphSpec("random_regular", 600, delta, 3))
+    graph, colors, m = w.graph, w.input_colors, w.m
 
     def kernel():
         return corollaries.delta_squared_coloring(graph, colors, m, backend="array")

@@ -2,15 +2,14 @@
 
 import pytest
 
-from repro.analysis.experiments import delta4_colored_graph, run_e4
+from repro.analysis.experiments import run_experiment
 from repro.core import corollaries
+from repro.engine.batch import BatchRunner, GraphSpec
 from repro.verify.orientation import assert_outdegree_orientation
 
 
 def test_e4_regenerate_table(benchmark, record_table):
-    table = benchmark.pedantic(
-        run_e4, kwargs=dict(n=300, delta=16, epsilons=(0.25, 0.5, 0.75)), rounds=1, iterations=1
-    )
+    table = benchmark.pedantic(run_experiment, args=("E4",), rounds=1, iterations=1)
     record_table("E4_outdegree", table)
     for beta, out in zip(table.column("beta"), table.column("max outdegree")):
         assert out <= beta
@@ -18,7 +17,8 @@ def test_e4_regenerate_table(benchmark, record_table):
 
 @pytest.mark.parametrize("beta", [2, 4])
 def test_e4_kernel(benchmark, beta):
-    graph, colors, m = delta4_colored_graph("random_regular", 400, 16, seed=4)
+    w = BatchRunner().workload(GraphSpec("random_regular", 400, 16, 4))
+    graph, colors, m = w.graph, w.input_colors, w.m
 
     def kernel():
         return corollaries.outdegree_coloring(graph, colors, m, beta=beta)

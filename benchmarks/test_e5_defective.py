@@ -2,15 +2,14 @@
 
 import pytest
 
-from repro.analysis.experiments import delta4_colored_graph, run_e5
+from repro.analysis.experiments import run_experiment
 from repro.core import corollaries
+from repro.engine.batch import BatchRunner, GraphSpec
 from repro.verify.coloring import assert_defective_coloring
 
 
 def test_e5_regenerate_table(benchmark, record_table):
-    table = benchmark.pedantic(
-        run_e5, kwargs=dict(n=300, delta=16, epsilons=(0.25, 0.5, 0.75)), rounds=1, iterations=1
-    )
+    table = benchmark.pedantic(run_experiment, args=("E5",), rounds=1, iterations=1)
     record_table("E5_defective", table)
     for d, defect in zip(table.column("d"), table.column("max defect")):
         assert defect <= d
@@ -18,7 +17,8 @@ def test_e5_regenerate_table(benchmark, record_table):
 
 @pytest.mark.parametrize("d", [2, 4, 8])
 def test_e5_kernel_one_round(benchmark, d):
-    graph, colors, m = delta4_colored_graph("random_regular", 600, 16, seed=5)
+    w = BatchRunner().workload(GraphSpec("random_regular", 600, 16, 5))
+    graph, colors, m = w.graph, w.input_colors, w.m
 
     def kernel():
         return corollaries.defective_coloring_one_round(graph, colors, m, d=d, backend="array")

@@ -2,16 +2,14 @@
 
 import pytest
 
-from repro.analysis.experiments import run_e6
+from repro.analysis.experiments import run_experiment
 from repro.congest import generators
 from repro.core import pipelines
 from repro.verify.coloring import assert_proper_coloring
 
 
 def test_e6_regenerate_table(benchmark, record_table):
-    table = benchmark.pedantic(
-        run_e6, kwargs=dict(sizes=(100, 400, 1000), delta=12), rounds=1, iterations=1
-    )
+    table = benchmark.pedantic(run_experiment, args=("E6",), rounds=1, iterations=1)
     record_table("E6_delta_plus_one", table)
     for used, target in zip(table.column("colors used"), table.column("Delta+1")):
         assert used <= target

@@ -2,15 +2,14 @@
 
 import pytest
 
-from repro.analysis.experiments import delta4_colored_graph, run_e8
+from repro.analysis.experiments import run_experiment
 from repro.core import ruling_sets
+from repro.engine.batch import BatchRunner, GraphSpec
 from repro.verify.ruling import assert_ruling_set
 
 
 def test_e8_regenerate_table(benchmark, record_table):
-    table = benchmark.pedantic(
-        run_e8, kwargs=dict(n=300, delta=16, rs=(2, 3)), rounds=1, iterations=1
-    )
+    table = benchmark.pedantic(run_experiment, args=("E8",), rounds=1, iterations=1)
     record_table("E8_ruling_sets", table)
     rows = table.to_dicts()
     # For every r, the Lemma 3.2 phase with the better coloring (Theorem 1.5)
@@ -23,7 +22,8 @@ def test_e8_regenerate_table(benchmark, record_table):
 
 @pytest.mark.parametrize("r", [2, 3])
 def test_e8_kernel_theorem15(benchmark, r):
-    graph, colors, m = delta4_colored_graph("random_regular", 400, 16, seed=8)
+    w = BatchRunner().workload(GraphSpec("random_regular", 400, 16, 8))
+    graph, colors, m = w.graph, w.input_colors, w.m
 
     def kernel():
         return ruling_sets.ruling_set_theorem15(graph, colors, m, r=r, backend="array")
@@ -34,7 +34,8 @@ def test_e8_kernel_theorem15(benchmark, r):
 
 @pytest.mark.parametrize("r", [2, 3])
 def test_e8_kernel_sew13_baseline(benchmark, r):
-    graph, colors, m = delta4_colored_graph("random_regular", 400, 16, seed=8)
+    w = BatchRunner().workload(GraphSpec("random_regular", 400, 16, 8))
+    graph, colors, m = w.graph, w.input_colors, w.m
 
     def kernel():
         return ruling_sets.ruling_set_sew13_baseline(graph, colors, m, r=r, backend="array")

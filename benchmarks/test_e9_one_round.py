@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.experiments import run_e9
+from repro.analysis.experiments import run_experiment
 from repro.congest import generators
 from repro.congest.ids import random_proper_coloring
 from repro.core import one_round
@@ -10,7 +10,7 @@ from repro.verify.coloring import assert_proper_coloring
 
 
 def test_e9_regenerate_table(benchmark, record_table):
-    table = benchmark.pedantic(run_e9, kwargs=dict(n=200, deltas=(4, 6, 8)), rounds=1, iterations=1)
+    table = benchmark.pedantic(run_experiment, args=("E9",), rounds=1, iterations=1)
     record_table("E9_one_round", table)
     assert all(table.column("proper"))
     assert all(r == 1 for r in table.column("rounds"))

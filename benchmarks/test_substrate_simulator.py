@@ -8,14 +8,15 @@ the vectorized twin for the large-n experiment rows.
 
 import pytest
 
-from repro.analysis.experiments import delta4_colored_graph
 from repro.core.algorithm1 import run_mother_algorithm
 from repro.core.vectorized import run_mother_algorithm_vectorized
+from repro.engine.batch import BatchRunner, GraphSpec
 
 
 @pytest.mark.parametrize("n", [200, 400])
 def test_message_passing_simulator(benchmark, n):
-    graph, colors, m = delta4_colored_graph("random_regular", n, 12, seed=42)
+    w = BatchRunner().workload(GraphSpec("random_regular", n, 12, 42))
+    graph, colors, m = w.graph, w.input_colors, w.m
 
     def kernel():
         return run_mother_algorithm(graph, colors, m, d=0, k=2, validate_input=False)
@@ -26,7 +27,8 @@ def test_message_passing_simulator(benchmark, n):
 
 @pytest.mark.parametrize("n", [200, 400, 2000])
 def test_vectorized_twin(benchmark, n):
-    graph, colors, m = delta4_colored_graph("random_regular", n, 12, seed=42)
+    w = BatchRunner().workload(GraphSpec("random_regular", n, 12, 42))
+    graph, colors, m = w.graph, w.input_colors, w.m
 
     def kernel():
         return run_mother_algorithm_vectorized(graph, colors, m, d=0, k=2, validate_input=False)

@@ -26,10 +26,13 @@ paper with no empirical tables or figures; its evaluation is the set of
 theorems.  Every experiment below therefore reproduces one theorem / corollary
 item: we run the algorithm on the round-synchronous CONGEST simulator, measure
 rounds / colors / structural guarantees, and put the paper's bound next to the
-measurement.  Tables are produced by `pytest benchmarks/ --benchmark-only`
-(which writes `benchmarks/results/*.md`) and stitched together by
-`python scripts/generate_experiments_md.py`; the small-instance versions of the
-same tables are asserted in the test suite (`tests/test_analysis.py`).
+measurement.  Each experiment is defined once, as the saved spec(s) under
+`specs/` (see below): `python -m repro experiment EN` replays them and renders
+the table from the records.  Tables are recorded by `pytest benchmarks/
+--benchmark-only` (which writes `benchmarks/results/*.md`) and stitched
+together by `python scripts/generate_experiments_md.py`; the test suite
+(`tests/test_analysis.py`) asserts that every experiment still renders its
+recorded table byte for byte.
 
 Reading guide:
 
@@ -49,7 +52,7 @@ Reading guide:
 
 ### Multi-worker sweeps
 
-Every experiment accepts a worker count and shards its grid sweeps across a
+Every experiment accepts a worker count and shards its whole grid across a
 process pool; every table is *identical* to the serial run (deterministic cell
 ordering, cross-process-deterministic generators — see "Parallel execution &
 sinks" in ARCHITECTURE.md):
@@ -65,9 +68,10 @@ python -m repro batch --task delta_plus_one \\
 `--output sweep.jsonl` streams each record to disk as it completes and
 `--resume` restarts an interrupted sweep where it left off, skipping the
 cells already recorded (the file's manifest is checked, so resuming a
-different sweep into the file is rejected).  The data-dependent, cell-by-cell
-parts of E2/E5/E8/E9/E10 stay serial by construction; the grid sweeps of
-E1/E3/E6/E7 and all `repro batch` runs shard.  B2 below records the measured
+different sweep into the file is rejected).  Because every experiment is a
+replay of its saved spec(s), all ten shard — E2's frozen `k` axis, E5's two
+variant specs, the E8/E10 params grids and E9's per-Delta specs included —
+as do all `repro batch` runs.  B2 below records the measured
 serial-vs-parallel wall-clock.
 
 ### Fault-tolerant sweeps
@@ -97,17 +101,18 @@ converge to records byte-identical to an uninterrupted run.
 
 ### Saved specs (`specs/`)
 
-Every experiment's sweep is also saved as a declarative spec (the unified
-solver API of `repro.api` — see "Unified solver API" in ARCHITECTURE.md):
+Every experiment's sweep is a declarative spec (the unified solver API of
+`repro.api` — see "Unified solver API" in ARCHITECTURE.md), and that spec is
+its only definition:
 
 ```
 python -m repro run --spec specs/E6.json --workers 2 --parity-check \
     --output e6.jsonl
 ```
 
-replays the E6 workload and emits records byte-identical to the in-process
-sweep; the sink manifest embeds the exact spec hash, so a results file pins
-the document that produced it.  The files are regenerated by
+replays the E6 workload and emits exactly the records `repro experiment E6`
+renders its table from; the sink manifest embeds the exact spec hash, so a
+results file pins the document that produced it.  The files are regenerated by
 `python scripts/generate_experiment_specs.py` from
 `repro.analysis.experiments.experiment_specs()`; data-dependent axes (E2's
 doubling `k` axis, E4/E5's degree-derived `beta`/`d`, E9's tight `(k, m)`

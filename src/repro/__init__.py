@@ -74,7 +74,7 @@ from repro.api import (
     solve,
 )
 
-__version__ = "1.10.0"
+__version__ = "1.11.0"
 
 __all__ = [
     "Graph",

@@ -42,7 +42,6 @@ __all__ = [
     "algorithm_names",
     "algorithm_specs",
     "validate_params",
-    "tasks_view",
 ]
 
 
@@ -321,8 +320,3 @@ def validate_params(algorithm: str | AlgorithmSpec, params: Mapping[str, Any]) -
     spec = algorithm if isinstance(algorithm, AlgorithmSpec) else get_algorithm(algorithm)
     return spec.validate_params(params)
 
-
-def tasks_view() -> dict[str, Callable[..., Mapping[str, Any]]]:
-    """``{name: runner}`` — the legacy ``TASKS``-shaped view of the registry."""
-    _ensure_builtins()
-    return {name: _REGISTRY[name].runner for name in sorted(_REGISTRY)}

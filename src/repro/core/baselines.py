@@ -25,7 +25,7 @@ from repro.congest.ids import greedy_coloring
 from repro.core.corollaries import kdelta_coloring
 from repro.core.results import ColoringResult
 from repro.engine.base import Engine
-from repro.engine.registry import resolve_backend
+from repro.engine.registry import get_engine
 
 __all__ = [
     "greedy_sequential",
@@ -111,7 +111,6 @@ def locally_iterative_beg18(
     m: int,
     reduce_to_delta_plus_one: bool = True,
     backend: str | Engine = "reference",
-    vectorized: bool | None = None,
 ) -> ColoringResult:
     """The locally-iterative (BEG18-style) baseline: ``k = 1`` trials, one per round.
 
@@ -120,7 +119,7 @@ def locally_iterative_beg18(
     ``O(Delta)`` rounds — the exact route the paper describes for its ``k = 1``
     setting.
     """
-    engine = resolve_backend(backend, vectorized)
+    engine = get_engine(backend)
     stage1 = kdelta_coloring(graph, input_colors, m, k=1, backend=engine)
     if not reduce_to_delta_plus_one:
         return stage1

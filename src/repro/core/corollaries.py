@@ -32,7 +32,7 @@ from repro.congest.graph import Graph
 from repro.core.params import MotherParameters
 from repro.core.results import ColoringResult
 from repro.engine.base import Engine
-from repro.engine.registry import resolve_backend
+from repro.engine.registry import get_engine
 
 __all__ = [
     "linial_color_reduction",
@@ -51,12 +51,11 @@ def _run(
     d,
     k,
     backend: str | Engine,
-    vectorized: bool | None,
     with_orientation=False,
     params=None,
     validate_input=True,
 ):
-    engine = resolve_backend(backend, vectorized)
+    engine = get_engine(backend)
     return engine.run_mother(
         graph,
         input_colors,
@@ -80,7 +79,6 @@ def linial_color_reduction(
     input_colors: np.ndarray,
     m: int,
     backend: str | Engine = "reference",
-    vectorized: bool | None = None,
     validate_input: bool = True,
 ) -> ColoringResult:
     """Corollary 1.2 (1): Linial's one-round color reduction.
@@ -92,7 +90,7 @@ def linial_color_reduction(
     """
     delta = max(1, graph.max_degree)
     params = _single_batch_params(m, delta, 0)
-    return _run(graph, input_colors, m, 0, params.k, backend, vectorized, params=params,
+    return _run(graph, input_colors, m, 0, params.k, backend, params=params,
                 validate_input=validate_input)
 
 
@@ -102,7 +100,6 @@ def kdelta_coloring(
     m: int,
     k: int,
     backend: str | Engine = "reference",
-    vectorized: bool | None = None,
     validate_input: bool = True,
 ) -> ColoringResult:
     """Corollary 1.2 (2): ``O(k Delta)`` colors in ``O(Delta / k)`` rounds.
@@ -111,7 +108,7 @@ def kdelta_coloring(
     regime (``k = 1``).  For a ``Delta^4``-input coloring the concrete bounds
     are ``16 Delta k`` colors in ``16 Delta / k`` rounds.
     """
-    return _run(graph, input_colors, m, 0, k, backend, vectorized, validate_input=validate_input)
+    return _run(graph, input_colors, m, 0, k, backend, validate_input=validate_input)
 
 
 def delta_squared_coloring(
@@ -119,13 +116,12 @@ def delta_squared_coloring(
     input_colors: np.ndarray,
     m: int,
     backend: str | Engine = "reference",
-    vectorized: bool | None = None,
     validate_input: bool = True,
 ) -> ColoringResult:
     """Corollary 1.2 (3): ``Delta^2`` colors in ``O(1)`` rounds (``k = ceil(Delta/16)``)."""
     delta = max(1, graph.max_degree)
     k = max(1, math.ceil(delta / 16))
-    return _run(graph, input_colors, m, 0, k, backend, vectorized, validate_input=validate_input)
+    return _run(graph, input_colors, m, 0, k, backend, validate_input=validate_input)
 
 
 def outdegree_coloring(
@@ -134,7 +130,6 @@ def outdegree_coloring(
     m: int,
     beta: int,
     backend: str | Engine = "reference",
-    vectorized: bool | None = None,
 ) -> ColoringResult:
     """Corollary 1.2 (4): a ``beta``-outdegree ``O(Delta / beta)``-coloring in ``O(Delta / beta)`` rounds.
 
@@ -147,7 +142,7 @@ def outdegree_coloring(
     delta = max(1, graph.max_degree)
     if not (1 <= beta <= delta - 1):
         raise ValueError(f"beta must satisfy 1 <= beta <= Delta - 1, got beta={beta}, Delta={delta}")
-    return _run(graph, input_colors, m, beta, 1, backend, vectorized, with_orientation=True)
+    return _run(graph, input_colors, m, beta, 1, backend, with_orientation=True)
 
 
 def defective_coloring_one_round(
@@ -156,7 +151,6 @@ def defective_coloring_one_round(
     m: int,
     d: int,
     backend: str | Engine = "reference",
-    vectorized: bool | None = None,
 ) -> ColoringResult:
     """Corollary 1.2 (5): a ``d``-defective ``O((Delta/d)^2)``-coloring in one round.
 
@@ -168,7 +162,7 @@ def defective_coloring_one_round(
     if not (1 <= d <= delta - 1):
         raise ValueError(f"d must satisfy 1 <= d <= Delta - 1, got d={d}, Delta={delta}")
     params = _single_batch_params(m, delta, d)
-    return _run(graph, input_colors, m, d, params.k, backend, vectorized, params=params)
+    return _run(graph, input_colors, m, d, params.k, backend, params=params)
 
 
 def defective_coloring(
@@ -177,7 +171,6 @@ def defective_coloring(
     m: int,
     d: int,
     backend: str | Engine = "reference",
-    vectorized: bool | None = None,
     validate_input: bool = True,
 ) -> ColoringResult:
     """Corollary 1.2 (6): a ``d``-defective ``O((Delta/d)^2)``-coloring in ``O(Delta/d)`` rounds.
@@ -190,7 +183,7 @@ def defective_coloring(
     delta = max(1, graph.max_degree)
     if not (1 <= d <= delta - 1):
         raise ValueError(f"d must satisfy 1 <= d <= Delta - 1, got d={d}, Delta={delta}")
-    base = _run(graph, input_colors, m, d, 1, backend, vectorized, validate_input=validate_input)
+    base = _run(graph, input_colors, m, d, 1, backend, validate_input=validate_input)
     if base.parts is None:  # pragma: no cover - defensive
         raise RuntimeError("mother algorithm did not report parts")
     stride = int(base.parts.max(initial=0)) + 1

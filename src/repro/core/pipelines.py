@@ -26,8 +26,7 @@
 
 Every pipeline accepts ``backend="reference" | "array" | Engine`` and runs all
 its stages through the selected execution engine (:mod:`repro.engine`); the
-two built-in backends produce identical colors and round counts.  The legacy
-``vectorized=`` flag is kept as a deprecated alias (``True`` -> ``"array"``).
+two built-in backends produce identical colors and round counts.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ from repro.core.corollaries import defective_coloring, kdelta_coloring
 from repro.core.linial import linial_coloring
 from repro.core.results import ColoringResult
 from repro.engine.base import Engine
-from repro.engine.registry import resolve_backend
+from repro.engine.registry import get_engine
 from repro.verify.coloring import color_classes
 
 __all__ = [
@@ -59,7 +58,6 @@ def delta_plus_one_coloring(
     ids: np.ndarray | None = None,
     seed: int | None = None,
     backend: str | Engine = "reference",
-    vectorized: bool | None = None,
 ) -> ColoringResult:
     """The full ``(Delta + 1)``-coloring pipeline in ``O(Delta) + log* n`` rounds.
 
@@ -71,7 +69,7 @@ def delta_plus_one_coloring(
     interior stages consume colorings that are proper by construction and
     skip re-validation.
     """
-    engine = resolve_backend(backend, vectorized)
+    engine = get_engine(backend)
     delta = max(1, graph.max_degree)
     stage1 = linial_coloring(graph, ids=ids, seed=seed, backend=engine)
     stage2 = kdelta_coloring(
@@ -100,7 +98,6 @@ def o_delta_coloring(
     input_colors: np.ndarray,
     m: int,
     backend: str | Engine = "reference",
-    vectorized: bool | None = None,
     validate_input: bool = True,
 ) -> ColoringResult:
     """An ``O(Delta)``-coloring of ``graph`` given a proper ``m``-input coloring.
@@ -112,7 +109,7 @@ def o_delta_coloring(
     flagged in the metadata so downstream results (Theorem 1.3 / 1.5) can report
     both the paper bound and the measured rounds honestly.
     """
-    engine = resolve_backend(backend, vectorized)
+    engine = get_engine(backend)
     result = kdelta_coloring(
         graph, input_colors, m, k=1, backend=engine, validate_input=validate_input
     )
@@ -130,7 +127,6 @@ def theorem13_coloring(
     epsilon: float = 0.5,
     low_degree_coloring: Callable[[Graph, np.ndarray, int], ColoringResult] | None = None,
     backend: str | Engine = "reference",
-    vectorized: bool | None = None,
 ) -> ColoringResult:
     """Theorem 1.3: an ``O(Delta^{1+eps})``-coloring.
 
@@ -154,7 +150,7 @@ def theorem13_coloring(
     """
     if not (0.0 < epsilon <= 1.0):
         raise ValueError(f"epsilon must be in (0, 1], got {epsilon}")
-    engine = resolve_backend(backend, vectorized)
+    engine = get_engine(backend)
     delta = max(1, graph.max_degree)
     input_colors = np.asarray(input_colors, dtype=np.int64)
     validate_proper_coloring(graph, input_colors, m)
@@ -217,7 +213,6 @@ def corollary14_coloring(
     m: int,
     k: int,
     backend: str | Engine = "reference",
-    vectorized: bool | None = None,
 ) -> ColoringResult:
     """Corollary 1.4: an ``O(k Delta)``-coloring via Theorem 1.3 with ``eps = log_Delta k``."""
     delta = max(1, graph.max_degree)
@@ -228,8 +223,7 @@ def corollary14_coloring(
     else:
         epsilon = min(1.0, math.log(k) / math.log(delta))
     return theorem13_coloring(
-        graph, input_colors, m, epsilon=max(epsilon, 1e-9),
-        backend=resolve_backend(backend, vectorized),
+        graph, input_colors, m, epsilon=max(epsilon, 1e-9), backend=backend,
     )
 
 

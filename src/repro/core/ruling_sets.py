@@ -38,7 +38,6 @@ from repro.core.corollaries import linial_color_reduction
 from repro.core.pipelines import theorem13_coloring
 from repro.core.results import ColoringResult, RulingSetResult
 from repro.engine.base import Engine
-from repro.engine.registry import resolve_backend
 
 __all__ = [
     "ruling_set_from_coloring",
@@ -150,7 +149,6 @@ def ruling_set_theorem15(
     m: int,
     r: int,
     backend: str | Engine = "reference",
-    vectorized: bool | None = None,
 ) -> RulingSetResult:
     """Theorem 1.5: a ``(2, r)``-ruling set in ``O(Delta^{2/(r+2)}) + log* n`` rounds.
 
@@ -163,8 +161,7 @@ def ruling_set_theorem15(
         raise ValueError("Theorem 1.5 requires r >= 2 (r = 1 is MIS, see mis_from_coloring)")
     epsilon = max(1e-9, (r - 2) / (r + 2))
     coloring: ColoringResult = theorem13_coloring(
-        graph, input_colors, m, epsilon=epsilon,
-        backend=resolve_backend(backend, vectorized),
+        graph, input_colors, m, epsilon=epsilon, backend=backend
     )
     num_colors = max(2, coloring.color_space_size)
     base = _base_for_target_r(num_colors, r)
@@ -192,7 +189,6 @@ def ruling_set_sew13_baseline(
     m: int,
     r: int,
     backend: str | Engine = "reference",
-    vectorized: bool | None = None,
 ) -> RulingSetResult:
     """The previous state of the art: Lemma 3.2 on an ``O(Delta^2)``-coloring.
 
@@ -203,9 +199,7 @@ def ruling_set_sew13_baseline(
     """
     if r < 1:
         raise ValueError("r must be >= 1")
-    coloring = linial_color_reduction(
-        graph, input_colors, m, backend=resolve_backend(backend, vectorized)
-    )
+    coloring = linial_color_reduction(graph, input_colors, m, backend=backend)
     num_colors = max(2, coloring.color_space_size)
     if r == 1:
         ruling = mis_from_coloring(graph, coloring.colors, num_colors)

@@ -39,7 +39,6 @@ from repro.engine.registry import (
     ensure_known_backend,
     get_engine,
     register_engine,
-    resolve_backend,
 )
 from repro.engine.retry import (
     CellExecutionError,
@@ -63,7 +62,6 @@ __all__ = [
     "available_backends",
     "describe_backends",
     "ensure_known_backend",
-    "resolve_backend",
     "BatchRunner",
     "BatchResult",
     "GraphSpec",

@@ -146,22 +146,11 @@ class TestRegistration:
 
 
 class TestDeprecatedTasksView:
-    def test_tasks_import_warns_once_and_matches_registry(self):
-        import importlib
-
-        batch = importlib.import_module("repro.engine.batch")
-        with pytest.warns(DeprecationWarning, match="repro.engine.batch.TASKS is deprecated"):
-            tasks = batch.TASKS
-        assert set(tasks) == set(algorithm_names())
-        for name, runner in tasks.items():
-            assert runner is get_algorithm(name).runner
-
-    def test_from_import_also_warns(self):
-        with pytest.warns(DeprecationWarning):
-            from repro.engine.batch import TASKS  # noqa: F401
-
     def test_other_missing_attributes_still_raise(self):
         import repro.engine.batch as batch
 
         with pytest.raises(AttributeError):
             batch.NO_SUCH_ATTRIBUTE
+        # named tasks resolve only through the registry; batch has no task table
+        with pytest.raises(AttributeError):
+            batch.TASKS

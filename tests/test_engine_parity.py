@@ -53,12 +53,15 @@ class TestEngineResolution:
         with pytest.raises(EngineError):
             get_engine("gpu")
 
-    def test_vectorized_alias_still_selects_array_and_warns(self, petersen):
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_bool_backend_rejected(self, petersen, flag):
+        from repro.engine import EngineError
+
         colors, m = make_input_coloring(petersen, seed=3)
-        with pytest.warns(DeprecationWarning, match="vectorized= flag is deprecated"):
-            legacy = pipelines.o_delta_coloring(petersen, colors, m, vectorized=True)
-        modern = pipelines.o_delta_coloring(petersen, colors, m, backend="array")
-        assert_coloring_parity(legacy, modern)
+        with pytest.raises(EngineError, match="got bool"):
+            get_engine(flag)
+        with pytest.raises(EngineError, match="got bool"):
+            pipelines.o_delta_coloring(petersen, colors, m, backend=flag)
 
 
 class TestRemoveColorClassParity:
