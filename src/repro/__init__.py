@@ -24,7 +24,7 @@ The package is organised around four layers:
     ``ArrayEngine`` (CSR NumPy twin, identical outputs), and the
     ``BatchRunner`` that sweeps (graph x seed x params) grids with shared
     precomputed structures, built-in reference-parity checking, process-pool
-    sharding (``workers=N``) and streaming, resumable JSONL/CSV result sinks.
+    sharding (``workers=N``) and streaming, resumable JSONL result sinks.
     Every algorithm accepts ``backend="reference" | "array"``.
 
 ``repro.api``

@@ -16,7 +16,7 @@ from repro.api.registry import get_algorithm
 from repro.api.report import RunReport
 from repro.api.spec import SCHEMA_VERSION, JobSpec, Problem, Run, SpecError, spec_hash
 from repro.engine.batch import BatchResult, BatchRunner, GraphSpec
-from repro.engine.sink import ResultSink
+from repro.engine.sink import JsonlSink
 
 __all__ = ["solve", "run_spec"]
 
@@ -84,7 +84,7 @@ def solve(problem: Problem, run: Run) -> RunReport:
 
 def run_spec(
     job: JobSpec | Mapping[str, Any],
-    sink: ResultSink | None = None,
+    sink: JsonlSink | None = None,
     backend: str | None = None,
     workers: int | None = None,
     parity_check: bool | None = None,

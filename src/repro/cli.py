@@ -19,12 +19,16 @@ typed schema.
 * ``experiment`` — run one of the experiments E1..E10 and print its table.
 * ``batch`` — sweep a registered algorithm over a (family x n x Delta x seed)
   grid through the :class:`repro.engine.batch.BatchRunner`.
+* ``merge`` — join the shard result files of a sharded sweep into one run.
+* ``export`` — write a result file's records as a CSV table.
 
-Every command accepts ``--backend reference|array`` (default ``array``, the
-vectorized engine; ``reference`` is the per-node CONGEST simulator —
-identical results, simulator metrics, much slower) and the sweep commands
-accept ``--workers N``, ``--parity-check``, ``--output results.jsonl`` (or
-``.csv``) and ``--resume`` exactly as before.
+Every solving command accepts ``--backend reference|array|jit`` (default
+``array``, the vectorized engine; ``reference`` is the per-node CONGEST
+simulator — identical results, simulator metrics, much slower; ``jit`` runs
+compiled kernels — see ``repro list-backends``) and the sweep commands accept
+``--workers N``, ``--parity-check``, ``--output results.jsonl`` and
+``--resume``.  Result files are JSONL only; ``repro export`` turns one into
+a spreadsheet-friendly CSV.
 
 Every command prints a short report and exits non-zero if the produced
 structure fails verification, so the CLI can be used in scripted sanity
@@ -34,6 +38,7 @@ checks.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import pathlib
 import sys
@@ -55,7 +60,7 @@ from repro.corpus.vendor import CorpusError
 from repro.engine.base import EngineError
 from repro.engine.batch import BatchRunner, GraphSpec
 from repro.engine.registry import available_backends
-from repro.engine.sink import SinkError, open_sink
+from repro.engine.sink import SinkError, check_sink_path, open_sink, read_run
 
 __all__ = ["main", "build_parser"]
 
@@ -211,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="re-run every cell on the reference backend and require "
                              "identical results (overrides the spec)")
     runner.add_argument("--output", metavar="PATH", default=None,
-                        help="stream each record to PATH (.jsonl/.ndjson/.csv); the run "
+                        help="stream each record to PATH (.jsonl/.ndjson); the run "
                              "manifest embeds the exact spec hash")
     runner.add_argument("--resume", action="store_true",
                         help="skip cells already recorded in --output")
@@ -248,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="worker processes to shard the grid across (default: 1 = serial; "
                             "records are identical and deterministically ordered either way)")
     batch.add_argument("--output", metavar="PATH", default=None,
-                       help="stream each record to PATH as it completes (.jsonl/.ndjson/.csv); "
+                       help="stream each record to PATH as it completes (.jsonl/.ndjson); "
                             "a run manifest is recorded alongside the records")
     batch.add_argument("--resume", action="store_true",
                        help="skip cells already recorded in --output (restart an interrupted sweep)")
@@ -275,11 +280,22 @@ def build_parser() -> argparse.ArgumentParser:
                     "hash drift.",
     )
     merge.add_argument("shards", nargs="+", metavar="SHARD",
-                       help="shard result files (.jsonl/.ndjson/.csv) written by "
+                       help="shard result files (.jsonl/.ndjson) written by "
                             "--shard i/k runs of one sweep")
     merge.add_argument("--output", required=True, metavar="PATH",
-                       help="merged result file; format follows the suffix "
-                            "(.jsonl/.ndjson/.csv)")
+                       help="merged result file (.jsonl/.ndjson)")
+
+    export = sub.add_parser(
+        "export",
+        help="write a result file's records as a CSV table",
+        description="Convert a JSONL result file into a CSV table: a leading "
+                    "'cell' column, then every record key in first-seen order; "
+                    "nested values are written as JSON.  The table is an "
+                    "export only: no command reads it back.",
+    )
+    export.add_argument("run", metavar="RUN", help="JSONL result file (.jsonl/.ndjson)")
+    export.add_argument("--output", required=True, metavar="PATH",
+                        help="CSV table to write")
 
     serve = sub.add_parser(
         "serve",
@@ -340,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="worker processes (default: 1; records and summary are "
                              "identical and deterministically ordered either way)")
     corpus.add_argument("--output", metavar="PATH", default=None,
-                        help="stream each record to PATH (.jsonl/.ndjson/.csv)")
+                        help="stream each record to PATH (.jsonl/.ndjson)")
     corpus.add_argument("--shard", metavar="I/K", default=None,
                         help="execute only deterministic shard I of K of the corpus "
                              "grid; merge the K record files with `repro merge`")
@@ -471,6 +487,8 @@ def _cmd_color(args) -> int:
 
 
 def _cmd_run(args) -> int:
+    if args.output:
+        check_sink_path(args.output)
     path = pathlib.Path(args.spec)
     if not path.exists():
         raise SpecError(f"spec file not found: {path}")
@@ -524,6 +542,8 @@ def _parse_params(algorithm: str, pairs: list[str]) -> dict:
 
 
 def _cmd_batch(args) -> int:
+    if args.output:
+        check_sink_path(args.output)  # before a fleet launches any shard
     if args.resume and not args.output:
         raise SystemExit("--resume requires --output (the file to resume from)")
     if args.fleet is not None:
@@ -648,6 +668,26 @@ def _cmd_merge(args) -> int:
     return 0
 
 
+def _cmd_export(args) -> int:
+    path = pathlib.Path(args.run)
+    if not path.exists():
+        raise SinkError(f"result file not found: {path}")
+    records = read_run(path).records
+    columns = list(dict.fromkeys(key for _, record in records for key in record))
+    with open(args.output, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["cell", *columns])
+        for cell, record in records:
+            # csv writes None (and so a missing key) as an empty cell
+            values = (record.get(col) for col in columns)
+            writer.writerow([cell, *(json.dumps(v, separators=(",", ":"))
+                                     if isinstance(v, (dict, list)) else v
+                                     for v in values)])
+    print(f"exported {len(records)} record(s) x {len(columns)} column(s) "
+          f"from {path} to {args.output}")
+    return 0
+
+
 def _cmd_serve(args) -> int:
     import asyncio
     import signal
@@ -703,6 +743,8 @@ def _cmd_serve(args) -> int:
 def _cmd_corpus(args) -> int:
     from repro import corpus as corpus_mod
 
+    if args.output:
+        check_sink_path(args.output)
     entries = corpus_mod.load_manifest(args.corpus_dir,
                                        verify=not args.no_verify_manifest)
     if args.graphs:
@@ -847,6 +889,7 @@ def main(argv: list[str] | None = None) -> int:
         "experiment": _cmd_experiment,
         "batch": _cmd_batch,
         "merge": _cmd_merge,
+        "export": _cmd_export,
         "serve": _cmd_serve,
         "corpus": _cmd_corpus,
         "graph": _cmd_graph,

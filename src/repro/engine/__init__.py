@@ -26,12 +26,11 @@ from repro.engine.batch import BatchResult, BatchRunner, GraphSpec, ParityError
 from repro.engine.jit import JitEngine
 from repro.engine.reference import ReferenceEngine
 from repro.engine.sink import (
-    CsvSink,
     JsonlSink,
-    ResultSink,
     RunManifest,
     SinkError,
     open_sink,
+    read_run,
 )
 from repro.engine.registry import (
     available_backends,
@@ -66,12 +65,11 @@ __all__ = [
     "BatchResult",
     "GraphSpec",
     "ParityError",
-    "ResultSink",
     "JsonlSink",
-    "CsvSink",
     "RunManifest",
     "SinkError",
     "open_sink",
+    "read_run",
     "RetryPolicy",
     "CellTimeoutError",
     "WorkerCrashError",

@@ -24,7 +24,7 @@
   shard-local parity checking; records come back in the serial order, so a
   parallel sweep is byte-identical to a serial one modulo wall-clock fields;
 * **streams to durable sinks** — pass ``sink=`` (see
-  :mod:`repro.engine.sink`) to append each record to a JSONL/CSV file as it
+  :mod:`repro.engine.sink`) to append each record to a JSONL file as it
   completes; a sink opened with ``resume=True`` skips already-completed
   cells, making interrupted sweeps restartable.
 
@@ -53,7 +53,7 @@ from repro.engine.retry import (
     describe_error,
 )
 from repro.engine.sink import (
-    ResultSink,
+    JsonlSink,
     RunManifest,
     cell_id,
     cell_key,
@@ -653,7 +653,7 @@ class BatchRunner:
         task: str | Callable[..., Mapping[str, Any]],
         cells: Iterable[GraphSpec],
         params_grid: Iterable[Mapping[str, Any]] | None = None,
-        sink: ResultSink | None = None,
+        sink: JsonlSink | None = None,
         spec_hash: str | None = None,
         progress: Callable[[int, int, str | None, Mapping[str, Any] | None], None] | None = None,
         shard: tuple[int, int] | None = None,
@@ -764,10 +764,7 @@ class BatchRunner:
             for index, record in results:
                 records[index] = record
                 if sink is not None:
-                    if "error" in record:
-                        sink.write_failure(ids[index], record)
-                    else:
-                        sink.write(ids[index], record)
+                    sink.write(ids[index], record)
                 if progress is not None:
                     progress(len(records), len(jobs), ids[index], record)
         finally:

@@ -33,9 +33,6 @@ unsharded ``workers=1`` sweep of the same spec on the same machine — and
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import os
 import pathlib
 from dataclasses import dataclass
@@ -44,8 +41,9 @@ from typing import Any, Sequence
 from repro.engine.sink import (
     RunManifest,
     SinkError,
-    _csv_decode,
+    check_sink_path,
     open_sink,
+    read_run,
 )
 
 __all__ = ["MergeError", "MergeResult", "merge_shards"]
@@ -81,82 +79,24 @@ class MergeResult:
 
 
 # --------------------------------------------------------------------------- #
-# Shard readers (read-only: merging never mutates its inputs)
+# Shard reader (read-only: merging never mutates its inputs)
 # --------------------------------------------------------------------------- #
-
-
-def _read_jsonl(path: pathlib.Path) -> tuple[RunManifest, dict, list]:
-    text = path.read_text(encoding="utf-8")
-    lines = text.split("\n")
-    if lines[-1] != "":
-        # A torn final line is a write the producing run did not survive; it
-        # is not durable, so it contributes nothing (the missing cell is
-        # reported by the coverage check, loudly).
-        lines = lines[:-1]
-    parsed = []
-    for lineno, line in enumerate((l for l in lines if l.strip()), start=1):
-        try:
-            parsed.append(json.loads(line))
-        except json.JSONDecodeError as exc:
-            raise MergeError(f"{path}: malformed JSONL at line {lineno}: {exc}") from None
-    if not parsed or not isinstance(parsed[0], dict) or "manifest" not in parsed[0]:
-        raise MergeError(f"{path}: first line is not a run manifest")
-    manifest = RunManifest.from_dict(parsed[0]["manifest"])
-    records: dict[str, dict[str, Any]] = {}
-    events: list[dict[str, Any]] = []
-    for obj in parsed[1:]:
-        if isinstance(obj, dict) and "event" in obj and "record" not in obj:
-            events.append(dict(obj["event"]))
-        elif isinstance(obj, dict) and "cell" in obj and "record" in obj:
-            records[obj["cell"]] = obj["record"]
-        else:
-            raise MergeError(f"{path}: unrecognized line {obj!r}")
-    return manifest, records, events
-
-
-def _read_csv(path: pathlib.Path) -> tuple[RunManifest, dict, list]:
-    sidecar_path = path.with_name(path.name + ".manifest.json")
-    if not sidecar_path.exists():
-        raise MergeError(f"{path}: missing sidecar {sidecar_path.name}")
-    try:
-        sidecar = json.loads(sidecar_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise MergeError(f"{sidecar_path}: {exc}") from None
-    manifest = RunManifest.from_dict(sidecar)
-    tags = sidecar.get("columns")
-    events = [dict(e) for e in sidecar.get("events", [])]
-    text = path.read_text(encoding="utf-8")
-    if text and not text.endswith("\n"):
-        head, _, _torn = text.rpartition("\n")
-        text = head + "\n" if head else ""
-    rows = list(csv.reader(io.StringIO(text)))
-    if not rows or not rows[0] or rows[0][0] != "cell":
-        raise MergeError(f"{path}: missing 'cell' header column")
-    columns = rows[0][1:]
-    records: dict[str, dict[str, Any]] = {}
-    for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) != len(rows[0]):
-            raise MergeError(f"{path}: row {lineno} has {len(row)} fields, "
-                             f"expected {len(rows[0])}")
-        records[row[0]] = {
-            col: _csv_decode(val, None if tags is None else tags.get(col))
-            for col, val in zip(columns, row[1:])
-        }
-    return manifest, records, events
 
 
 def _read_shard(path: os.PathLike | str) -> _Shard:
     path = pathlib.Path(path)
     if not path.exists():
         raise MergeError(f"shard file not found: {path}")
-    suffix = path.suffix.lower()
-    if suffix in (".jsonl", ".ndjson"):
-        manifest, records, events = _read_jsonl(path)
-    elif suffix == ".csv":
-        manifest, records, events = _read_csv(path)
-    else:
-        raise MergeError(f"cannot infer shard format from {os.fspath(path)!r}; "
-                         "use a .jsonl/.ndjson/.csv suffix")
+    try:
+        check_sink_path(path)
+        run = read_run(path)
+    except SinkError as exc:  # its message names the shard file
+        raise MergeError(str(exc)) from None
+    # A torn final line is not durable, so it contributes nothing (the
+    # missing cell is reported by the completeness check, loudly).
+    manifest = run.manifest
+    if manifest is None:
+        raise MergeError(f"{path}: no run manifest (the file is empty)")
     if manifest.shard is None:
         raise MergeError(
             f"{path}: not a shard file (its manifest has no shard descriptor) — "
@@ -166,7 +106,8 @@ def _read_shard(path: os.PathLike | str) -> _Shard:
         if field not in manifest.shard:
             raise MergeError(f"{path}: shard descriptor is missing {field!r}: "
                              f"{manifest.shard!r}")
-    return _Shard(path=path, manifest=manifest, records=records, events=events)
+    return _Shard(path=path, manifest=manifest, records=dict(run.records),
+                  events=run.events)
 
 
 # --------------------------------------------------------------------------- #
@@ -319,12 +260,12 @@ def merge_shards(
     across every shard), disjoint + complete coverage (each shard index and
     each grid position exactly once), and per-shard completeness (every
     declared cell durable, no CellError records) — any violation raises
-    :class:`MergeError` and nothing is written.  The output format follows
-    the suffix of ``output`` exactly like ``--output`` on a sweep
-    (``.jsonl``/``.ndjson``/``.csv``); records land in full grid order and
-    the shards' provenance events are appended after them, tagged with their
-    shard index.
+    :class:`MergeError` and nothing is written.  ``output`` must carry a
+    JSONL suffix, checked before any shard is read; records land in full
+    grid order and the shards' provenance events are appended after them,
+    tagged with their shard index.
     """
+    check_sink_path(output)
     if not inputs:
         raise MergeError("merge needs at least one shard file")
     shards = [_read_shard(path) for path in inputs]

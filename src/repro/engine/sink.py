@@ -1,19 +1,14 @@
-"""Streaming result sinks: durable, resumable record streams for sweeps.
+"""Streaming result files: durable, resumable record streams for sweeps.
 
-A :class:`ResultSink` receives the tidy records of a
+A :class:`JsonlSink` receives the tidy records of a
 :class:`repro.engine.batch.BatchRunner` sweep *as each cell completes* and
-appends them to a durable file, so an interrupted sweep loses at most the
-cells in flight.  Two formats ship with the package:
-
-* :class:`JsonlSink` — one JSON object per line.  The first line is the run
-  manifest; every following line is ``{"cell": <id>, "record": {...}}``.
-  JSONL is the *resumable* format of record: types round-trip exactly, and
-  partially written final lines (a sweep killed mid-write) are detected and
-  discarded on resume.
-* :class:`CsvSink` — a spreadsheet-friendly table with a leading ``cell``
-  column; the manifest lives in a ``<path>.manifest.json`` sidecar.  CSV also
-  resumes, but values read back from a CSV are re-typed best-effort (CSV has
-  no types), so prefer JSONL when the file feeds further tooling.
+appends them to a JSONL file, so an interrupted sweep loses at most the cells
+in flight.  The first line is the run manifest; every following line is
+``{"cell": <id>, "record": {...}}`` or a provenance ``{"event": {...}}``.
+Types round-trip exactly, and a partially written final line (a sweep killed
+mid-write) is detected and discarded on resume.  :func:`read_run` is the one
+reader of the format: resume, ``repro merge``, the job server and
+``repro export`` (the spreadsheet view) all parse through it.
 
 The **manifest** pins down what a result file is: the task, the backend, the
 package version, whether cells were parity-checked, and a hash over the
@@ -30,9 +25,7 @@ an uninterrupted serial one (modulo the wall-clock ``seconds`` field).
 
 from __future__ import annotations
 
-import csv
 import hashlib
-import io
 import json
 import os
 import pathlib
@@ -44,9 +37,10 @@ from repro.testing import faults
 __all__ = [
     "SinkError",
     "RunManifest",
-    "ResultSink",
+    "RunFile",
+    "read_run",
     "JsonlSink",
-    "CsvSink",
+    "check_sink_path",
     "open_sink",
     "task_name",
     "cell_key",
@@ -229,31 +223,86 @@ class RunManifest:
             )
 
 
+
+
 # --------------------------------------------------------------------------- #
-# Sinks
+# Reading and writing result files
 # --------------------------------------------------------------------------- #
 
 
-class ResultSink:
-    """Base class: a durable, append-only stream of sweep records.
+@dataclass(frozen=True)
+class RunFile:
+    """The durable content of one result file, as parsed by :func:`read_run`."""
 
-    Lifecycle: ``start(manifest)`` once (loads completed cells when resuming,
-    writes the manifest otherwise), then ``write(cell, record)`` per completed
-    cell, then ``close()``.  Sinks are context managers; :attr:`completed`
-    maps cell ids to their previously recorded records after ``start``.
+    #: ``None`` for an empty file or one whose only line is a torn manifest.
+    manifest: RunManifest | None
+    #: ``(cell id, record)`` pairs in file order.
+    records: list[tuple[str, dict[str, Any]]]
+    #: provenance events (retry / downgrade / cell-error notes) in file order.
+    events: list[dict[str, Any]]
+    #: whether a final line without its newline was skipped.
+    torn: bool
+
+
+def read_run(path: os.PathLike | str) -> RunFile:
+    """Parse a result file — the one reader of the format :class:`JsonlSink` writes.
+
+    Every caller (resume, merge, the job server, ``repro export``) gets the
+    same policy: an empty file is not an error; a final line without its
+    newline is a write the producing run did not survive, so it is skipped
+    and flagged ``torn`` (a file holding only a partial manifest line reads
+    as empty and torn); any other line that is not JSON, or whose shape is
+    wrong, raises :class:`SinkError` naming its physical line number.
+    Reading never mutates the file.
     """
+    path = pathlib.Path(path)
+    lines = path.read_text(encoding="utf-8").split("\n")
+    manifest: RunManifest | None = None
+    records: list[tuple[str, dict[str, Any]]] = []
+    events: list[dict[str, Any]] = []
+    for lineno, line in enumerate(lines[:-1], start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise SinkError(f"{path}: malformed JSONL at line {lineno}: {exc}") from None
+        if not isinstance(obj, dict):
+            raise SinkError(f"{path}: line {lineno} is not a JSON object")
+        if manifest is None:
+            if "manifest" not in obj:
+                raise SinkError(f"{path}: line {lineno} is not a run manifest")
+            manifest = RunManifest.from_dict(obj["manifest"])
+        elif "cell" in obj and "record" in obj:
+            records.append((obj["cell"], obj["record"]))
+        elif "event" in obj:
+            events.append(dict(obj["event"]))
+        else:
+            raise SinkError(f"{path}: line {lineno} is not a "
+                            "{'cell': ..., 'record': ...} or {'event': ...} object")
+    return RunFile(manifest=manifest, records=records, events=events,
+                   torn=lines[-1] != "")
 
-    #: cell id -> record, loaded by ``start`` when resuming.
-    completed: dict[str, dict[str, Any]]
+
+class JsonlSink:
+    """A durable, append-only result file, written as each cell completes.
+
+    Line one is the run manifest; every following line is ``{"cell": <id>,
+    "record": {...}}`` or a provenance ``{"event": {...}}``.  Lifecycle:
+    ``start(manifest)`` once (loads completed cells when resuming, writes the
+    manifest otherwise), then ``write(cell, record)`` per completed cell,
+    then ``close()``.  Sinks are context managers; :attr:`completed` maps
+    cell ids to their previously recorded records after ``start``.
+    """
 
     def __init__(self, path: os.PathLike | str, resume: bool = False):
         self.path = pathlib.Path(path)
         self.resume = bool(resume)
-        self.completed = {}
+        #: cell id -> record, loaded by ``start`` when resuming.
+        self.completed: dict[str, dict[str, Any]] = {}
         self.written = 0
         self._listeners: list[Callable[[str, Mapping[str, Any]], None]] = []
-
-    # -- interface ------------------------------------------------------- #
+        self._file = None
 
     def add_listener(self, listener: Callable[[str, Mapping[str, Any]], None]) -> None:
         """Register ``listener(cell_id, record)``, called after each durable write.
@@ -264,110 +313,36 @@ class ResultSink:
         """
         self._listeners.append(listener)
 
-    def _notify(self, cell: str, record: Mapping[str, Any]) -> None:
-        for listener in self._listeners:
-            listener(cell, record)
-
     def start(self, manifest: RunManifest) -> None:
-        raise NotImplementedError
-
-    def write(self, cell: str, record: Mapping[str, Any]) -> None:
-        raise NotImplementedError
-
-    def write_failure(self, cell: str, record: Mapping[str, Any]) -> None:
-        """Record a CellError record (a record whose ``"error"`` key carries a
-        structured failure — see :func:`repro.engine.retry.cell_error_record`).
-
-        Default: same as :meth:`write`.  Sinks whose format cannot hold the
-        nested error object (CSV) override this to keep the failure in their
-        provenance channel instead; either way the cell is *not* treated as
-        completed on resume, so a later run re-executes it.
-        """
-        self.write(cell, record)
-
-    def note(self, event: Mapping[str, Any]) -> None:
-        """Append a provenance event (retry / downgrade / cell-error) to the
-        sink's side channel.  Events are *not* records: resume ignores them
-        and they never mark a cell completed.  Default: dropped."""
-
-    def _fire_write_fault(self, cell: str) -> None:
-        """The ``"sink-write"`` fault-injection site (fires before the append)."""
-        faults.fire("sink-write", cell=cell, write=self.written + 1)
-
-    def close(self) -> None:
-        pass
-
-    # -- context management ---------------------------------------------- #
-
-    def __enter__(self) -> "ResultSink":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
-class JsonlSink(ResultSink):
-    """Line-delimited JSON: manifest first, then one ``{cell, record}`` per line."""
-
-    def __init__(self, path: os.PathLike | str, resume: bool = False):
-        super().__init__(path, resume)
-        self._file = None
-
-    def start(self, manifest: RunManifest) -> None:
-        if self.resume and self.path.exists() and self.path.stat().st_size > 0:
-            self._load_existing(manifest)
-            self._file = self.path.open("a", encoding="utf-8")
-        else:
+        existing = read_run(self.path) if self.resume and self.path.exists() else None
+        if existing is None or existing.manifest is None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             self._file = self.path.open("w", encoding="utf-8")
             self._emit({"manifest": manifest.to_dict()})
-
-    def _load_existing(self, manifest: RunManifest) -> None:
-        text = self.path.read_text(encoding="utf-8")
-        lines = text.split("\n")
-        # A trailing chunk without a newline is a write the previous run did
-        # not survive mid-write; it is dropped — but only *after* the file has
-        # been validated as belonging to this sweep (never mutate a file the
-        # resume is about to refuse).
-        torn = lines[-1] != ""
-        complete_lines = [line for line in lines[:-1] if line.strip()]
-        if not complete_lines:
-            raise SinkError(f"cannot resume from {self.path}: no manifest line")
-        parsed = []
-        for lineno, line in enumerate(complete_lines, start=1):
-            try:
-                parsed.append(json.loads(line))
-            except json.JSONDecodeError as exc:
-                raise SinkError(
-                    f"cannot resume from {self.path}: malformed JSONL at line {lineno}: {exc}"
-                ) from None
-        head = parsed[0]
-        if not isinstance(head, dict) or "manifest" not in head:
-            raise SinkError(f"cannot resume from {self.path}: first line is not a manifest")
-        manifest.check_resumable(RunManifest.from_dict(head["manifest"]), self.path)
-        for lineno, obj in enumerate(parsed[1:], start=2):
-            if isinstance(obj, dict) and "event" in obj and "record" not in obj:
-                continue  # provenance event line (retry/downgrade notes), not a record
-            if not isinstance(obj, dict) or "cell" not in obj or "record" not in obj:
-                raise SinkError(
-                    f"cannot resume from {self.path}: line {lineno} is not a "
-                    "{'cell': ..., 'record': ...} object"
-                )
-            self.completed[obj["cell"]] = obj["record"]
-        if torn:
-            self.path.write_text("\n".join(lines[:-1]) + "\n", encoding="utf-8")
+            return
+        manifest.check_resumable(existing.manifest, self.path)
+        self.completed = dict(existing.records)
+        if existing.torn:
+            # Drop the torn tail only now that the file is known to belong to
+            # this sweep: a resume that is refused never mutates the file.
+            os.truncate(self.path, self.path.read_bytes().rfind(b"\n") + 1)
+        self._file = self.path.open("a", encoding="utf-8")
 
     def _emit(self, obj: Mapping[str, Any]) -> None:
         self._file.write(json.dumps(obj, separators=(",", ":"), default=_jsonable) + "\n")
         self._file.flush()
 
     def write(self, cell: str, record: Mapping[str, Any]) -> None:
-        self._fire_write_fault(cell)
+        """Append one record (a CellError record too: resume re-runs it)."""
+        faults.fire("sink-write", cell=cell, write=self.written + 1)
         self._emit({"cell": cell, "record": dict(record)})
         self.written += 1
-        self._notify(cell, record)
+        for listener in self._listeners:
+            listener(cell, record)
 
     def note(self, event: Mapping[str, Any]) -> None:
+        """Append a provenance event (retry / downgrade / cell-error).  Events
+        are *not* records: they never mark a cell completed."""
         self._emit({"event": dict(event)})
 
     def close(self) -> None:
@@ -375,258 +350,28 @@ class JsonlSink(ResultSink):
             self._file.close()
             self._file = None
 
+    def __enter__(self) -> "JsonlSink":
+        return self
 
-def _csv_scalar(value: str) -> Any:
-    """Legacy best-effort re-typing of a CSV cell (pre-schema sidecars only).
-
-    Kept for resuming files whose sidecar predates the typed column schema;
-    it is *lossy* (the string ``"42"`` comes back as the int ``42``), which is
-    exactly the bug the schema fixes.
-    """
-    if value == "True":
-        return True
-    if value == "False":
-        return False
-    try:
-        return json.loads(value)
-    except (json.JSONDecodeError, ValueError):
-        return value
+    def __exit__(self, *exc) -> None:
+        self.close()
 
 
-#: Column type tags of the CSV schema (stored in the manifest sidecar under
-#: ``"columns"``).  One tag per column, frozen by the first record.
-_CSV_TAGS = ("int", "float", "bool", "str", "none", "json")
-
-
-def _csv_tag(value: Any) -> str:
-    """The schema tag of one record value (numpy scalars unwrap first)."""
-    item = getattr(value, "item", None)
-    if callable(item):
-        value = item()
-    if isinstance(value, bool):
-        return "bool"
-    if isinstance(value, int):
-        return "int"
-    if isinstance(value, float):
-        return "float"
-    if isinstance(value, str):
-        return "str"
-    if value is None:
-        return "none"
-    return "json"
-
-
-def _csv_encode(value: Any, tag: str) -> str:
-    """Render ``value`` as the CSV cell text its ``tag`` decodes exactly."""
-    item = getattr(value, "item", None)
-    if callable(item):
-        value = item()
-    if tag == "json":
-        return json.dumps(value, sort_keys=True, separators=(",", ":"), default=_jsonable)
-    if tag == "none":
-        return ""
-    if isinstance(value, str) and ("\n" in value or "\r" in value):
-        # The torn-tail detector uses the newline as the row-completion
-        # marker; a multi-line quoted field would defeat it.
-        raise SinkError(
-            "CSV sinks cannot store strings containing newlines; use a JSONL sink"
-        )
-    return str(value)
-
-
-def _csv_decode(text: str, tag: str | None) -> Any:
-    """Re-type one CSV cell from its column tag — the exact inverse of
-    :func:`_csv_encode` (so CSV resume round-trips like JSONL).
-
-    ``tag=None`` means a pre-schema sidecar: fall back to the legacy lossy
-    heuristic.  The empty string is the "column absent in this record"
-    marker for every tag except ``str`` (where it is a genuine empty string)
-    and ``none`` (where it is ``None``).
-    """
-    if tag is None:
-        return _csv_scalar(text)
-    if tag == "str":
-        return text
-    if tag == "none":
-        return None
-    if text == "":
-        return ""
-    if tag == "int":
-        return int(text)
-    if tag == "float":
-        return float(text)
-    if tag == "bool":
-        return text == "True"
-    if tag == "json":
-        return json.loads(text)
-    raise SinkError(f"unknown CSV column tag {tag!r}; known: {list(_CSV_TAGS)}")
-
-
-class CsvSink(ResultSink):
-    """Streaming CSV with a leading ``cell`` id column and a manifest sidecar.
-
-    The column set is frozen by the first record written (or by the header of
-    the file being resumed); a record with unknown keys raises
-    :class:`SinkError` rather than silently dropping measurements.
-
-    Cells are plain spreadsheet-friendly text, but each column's Python type
-    is recorded in the sidecar (``"columns": {name: tag}``) when the header
-    freezes, and resume re-types every value from that schema — so a resumed
-    CSV sweep returns records identical to the ones originally written
-    (the string ``"42"`` stays a string, ``True`` stays a bool), exactly
-    like JSONL.  A record whose value type disagrees with the column's
-    frozen tag raises :class:`SinkError` (a lossless round-trip needs
-    homogeneous column types; mixed-type sweeps belong in JSONL).
-    """
-
-    def __init__(self, path: os.PathLike | str, resume: bool = False):
-        super().__init__(path, resume)
-        self._file = None
-        self._writer = None
-        self._columns: list[str] | None = None
-        self._column_types: dict[str, str] | None = None
-        self._manifest_doc: dict[str, Any] | None = None
-        self._events: list[dict[str, Any]] = []
-
-    @property
-    def manifest_path(self) -> pathlib.Path:
-        return self.path.with_name(self.path.name + ".manifest.json")
-
-    def start(self, manifest: RunManifest) -> None:
-        if self.resume and self.path.exists() and self.path.stat().st_size > 0:
-            self._load_existing(manifest)
-            self._file = self.path.open("a", encoding="utf-8", newline="")
-        else:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._file = self.path.open("w", encoding="utf-8", newline="")
-            self._manifest_doc = manifest.to_dict()
-            self._write_sidecar()
-
-    def _write_sidecar(self) -> None:
-        doc = dict(self._manifest_doc or {})
-        if self._column_types is not None:
-            doc["columns"] = dict(self._column_types)
-        if self._events:
-            doc["events"] = list(self._events)
-        self.manifest_path.write_text(
-            json.dumps(doc, indent=2, default=_jsonable) + "\n", encoding="utf-8"
-        )
-
-    def _load_existing(self, manifest: RunManifest) -> None:
-        if not self.manifest_path.exists():
-            raise SinkError(
-                f"cannot resume from {self.path}: missing sidecar {self.manifest_path.name}"
-            )
-        try:
-            sidecar = json.loads(self.manifest_path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise SinkError(f"cannot resume from {self.manifest_path}: {exc}") from None
-        existing = RunManifest.from_dict(sidecar)
-        manifest.check_resumable(existing, self.path)
-        types = sidecar.get("columns")
-        self._events = [dict(e) for e in sidecar.get("events", [])]
-        self._manifest_doc = {k: v for k, v in sidecar.items()
-                              if k not in ("columns", "events")}
-        text = self.path.read_text(encoding="utf-8")
-        # A trailing chunk without a newline is a row the previous run did not
-        # survive mid-write.  Field counting cannot detect a row truncated
-        # *inside* its last field, so the newline is the completion marker —
-        # exactly as in the JSONL sink.  (Record values are scalars and
-        # newline-free strings — enforced on write — so embedded newlines
-        # cannot occur.)
-        torn_tail = None
-        if text and not text.endswith("\n"):
-            head, _, torn_tail = text.rpartition("\n")
-            text = head + "\n" if head else ""
-        rows = list(csv.reader(io.StringIO(text)))
-        if not rows or not rows[0] or rows[0][0] != "cell":
-            raise SinkError(f"cannot resume from {self.path}: missing 'cell' header column")
-        self._columns = rows[0][1:]
-        if types is not None:
-            if set(types) != set(self._columns):
-                raise SinkError(
-                    f"cannot resume from {self.path}: sidecar column schema "
-                    f"{sorted(types)} disagrees with the CSV header {self._columns}"
-                )
-            self._column_types = {col: str(types[col]) for col in self._columns}
-        for lineno, row in enumerate(rows[1:], start=2):
-            if len(row) != len(rows[0]):
-                raise SinkError(
-                    f"cannot resume from {self.path}: row {lineno} has {len(row)} fields, "
-                    f"expected {len(rows[0])}"
-                )
-            tags = self._column_types
-            self.completed[row[0]] = {
-                col: _csv_decode(val, None if tags is None else tags[col])
-                for col, val in zip(self._columns, row[1:])
-            }
-        if torn_tail is not None:
-            self.path.write_text(text, encoding="utf-8")
-
-    def write_failure(self, cell: str, record: Mapping[str, Any]) -> None:
-        """CSV cannot hold the nested error object as a column (and failure
-        records would poison the frozen column schema), so the failure goes to
-        the sidecar's event list; the cell stays incomplete and re-runs on
-        resume."""
-        self.note({"cell": cell, "event": "cell-error",
-                   "error": dict(record.get("error") or {})})
-        self._notify(cell, record)
-
-    def note(self, event: Mapping[str, Any]) -> None:
-        self._events.append(dict(event))
-        self._write_sidecar()
-
-    def write(self, cell: str, record: Mapping[str, Any]) -> None:
-        self._fire_write_fault(cell)
-        if self._columns is None:
-            self._columns = list(record)
-            self._column_types = {col: _csv_tag(record[col]) for col in self._columns}
-            csv.writer(self._file).writerow(["cell", *self._columns])
-            # The sidecar is rewritten (not appended) so the schema lands in
-            # the same document the manifest check reads on resume.
-            self._write_sidecar()
-        unknown = set(record) - set(self._columns)
-        if unknown:
-            raise SinkError(
-                f"record has columns {sorted(unknown)} not in the CSV header "
-                f"{self._columns} — CSV sinks need a fixed column set per sweep"
-            )
-        row = [cell]
-        for col in self._columns:
-            if col not in record:
-                row.append("")
-                continue
-            value = record[col]
-            if self._column_types is not None:
-                tag = _csv_tag(value)
-                if tag != self._column_types[col]:
-                    raise SinkError(
-                        f"column {col!r} holds {self._column_types[col]} values but this "
-                        f"record carries a {tag} ({value!r}) — a lossless CSV round-trip "
-                        "needs homogeneous column types; use a JSONL sink for mixed types"
-                    )
-                row.append(_csv_encode(value, tag))
-            else:
-                # Pre-schema file being resumed: keep the legacy rendering.
-                row.append("" if value is None else str(value))
-        csv.writer(self._file).writerow(row)
-        self._file.flush()
-        self.written += 1
-        self._notify(cell, record)
-
-    def close(self) -> None:
-        if self._file is not None:
-            self._file.close()
-            self._file = None
-
-
-def open_sink(path: os.PathLike | str, resume: bool = False) -> ResultSink:
-    """Build the sink matching ``path``'s suffix (``.jsonl``/``.ndjson``/``.csv``)."""
+def check_sink_path(path: os.PathLike | str) -> None:
+    """Refuse a result-file path without a JSONL suffix — before any work runs."""
     suffix = pathlib.Path(path).suffix.lower()
-    if suffix in (".jsonl", ".ndjson"):
-        return JsonlSink(path, resume=resume)
     if suffix == ".csv":
-        return CsvSink(path, resume=resume)
-    raise SinkError(
-        f"cannot infer sink format from {os.fspath(path)!r}; use a .jsonl/.ndjson/.csv suffix"
-    )
+        raise SinkError(
+            f"{os.fspath(path)!r}: CSV result sinks were removed; write a .jsonl "
+            "file and convert it with `repro export RUN.jsonl --output TABLE.csv`"
+        )
+    if suffix not in (".jsonl", ".ndjson"):
+        raise SinkError(
+            f"cannot infer sink format from {os.fspath(path)!r}; use a .jsonl/.ndjson suffix"
+        )
+
+
+def open_sink(path: os.PathLike | str, resume: bool = False) -> JsonlSink:
+    """The sink for ``path``, after :func:`check_sink_path` accepts its suffix."""
+    check_sink_path(path)
+    return JsonlSink(path, resume=resume)

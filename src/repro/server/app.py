@@ -497,17 +497,19 @@ class JobServer:
         """SSE: durable history first (from the sink), then live events."""
         queue = self._subscribe(job_id)
         try:
+            # Read the history before the 200 headers go out, so a corrupt
+            # records file still gets its 500 answer.
+            status = self.store.load(job_id)
+            manifest = self.store.manifest(job_id)
+            total = (manifest or {}).get("cells", status.cells_total)
+            history = self.store.records(job_id)
             writer.write(
                 b"HTTP/1.1 200 OK\r\n"
                 b"Content-Type: text/event-stream\r\n"
                 b"Cache-Control: no-cache\r\n"
                 b"Connection: close\r\n\r\n"
             )
-            status = self.store.load(job_id)
-            manifest = self.store.manifest(job_id)
-            total = (manifest or {}).get("cells", status.cells_total)
             sent_cells: set[str] = set()
-            history = self.store.records(job_id)
             for i, obj in enumerate(history):
                 sent_cells.add(obj["cell"])
                 self._write_event(writer, "cell", {

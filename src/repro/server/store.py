@@ -26,6 +26,7 @@ import time
 from typing import Any, Iterator
 
 from repro.api.spec import JobStatus, SpecError
+from repro.engine.sink import SinkError, read_run
 
 __all__ = ["JobStoreError", "JobStore"]
 
@@ -149,7 +150,12 @@ class JobStore:
     # ------------------------------------------------------------------ #
 
     def manifest(self, job_id: str) -> dict[str, Any] | None:
-        """The sink manifest of a job's records file (first JSONL line)."""
+        """The sink manifest of a job's records file (first JSONL line).
+
+        A one-line peek rather than :func:`~repro.engine.sink.read_run`: the
+        queue and every status poll call it, and it must not cost a full
+        parse of a long-running job's records.
+        """
         path = self.records_path(job_id)
         if not path.exists():
             return None
@@ -163,22 +169,16 @@ class JobStore:
             return None
 
     def records(self, job_id: str) -> list[dict[str, Any]]:
-        """The ``{cell, record}`` entries written so far (torn tail skipped)."""
+        """The ``{cell, record}`` entries written so far (torn tail skipped).
+
+        A malformed interior line raises :class:`JobStoreError` — the same
+        file would be refused by resume and merge, so it is never served.
+        """
         path = self.records_path(job_id)
         if not path.exists():
             return []
-        out = []
-        text = path.read_text(encoding="utf-8")
-        lines = text.split("\n")
-        if lines and lines[-1] != "":
-            lines = lines[:-1]  # torn final line: not durable, not reported
-        for line in lines[1:]:  # skip the manifest line
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if isinstance(obj, dict) and "cell" in obj and "record" in obj:
-                out.append(obj)
-        return out
+        try:
+            run = read_run(path)
+        except SinkError as exc:
+            raise JobStoreError(f"corrupt records file {exc}") from None
+        return [{"cell": cell, "record": record} for cell, record in run.records]

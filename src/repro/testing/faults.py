@@ -12,7 +12,7 @@ a matching fault, the fault's *op* executes:
 site       fired from
 ========== ===================================================================
 cell       the start of every cell attempt (serial runner and pool workers)
-sink-write just before a sink appends a record (JSONL and CSV)
+sink-write just before the JSONL sink appends a record
 jit        the entry of every :class:`~repro.engine.jit.JitEngine` primitive
 server-cell the job server's per-cell progress hook (worker threads)
 ========== ===================================================================

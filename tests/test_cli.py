@@ -1,5 +1,6 @@
 """Tests for the command-line interface (generated from the algorithm registry)."""
 
+import csv
 import json
 
 import pytest
@@ -254,14 +255,6 @@ class TestBatchCommand:
         manifest = json.loads(lines[0])["manifest"]
         assert manifest["task"] == "kdelta" and manifest["cells"] == 4
 
-    def test_batch_output_csv(self, tmp_path, capsys):
-        out_file = tmp_path / "run.csv"
-        assert main(BATCH_GRID + ["--output", str(out_file)]) == 0
-        header, *rows = out_file.read_text().splitlines()
-        assert header.startswith("cell,family,")
-        assert len(rows) == 4
-        assert out_file.with_name("run.csv.manifest.json").exists()
-
     def test_batch_resume_after_partial_run(self, tmp_path, capsys):
         out_file = tmp_path / "run.jsonl"
         assert main(BATCH_GRID + ["--output", str(out_file)]) == 0
@@ -311,3 +304,54 @@ class TestBatchCommand:
     def test_experiment_workers(self, capsys):
         assert main(["experiment", "E1", "--workers", "2"]) == 0
         assert "Corollary 1.2(1)" in capsys.readouterr().out
+
+
+class TestResultFiles:
+    @pytest.mark.parametrize("argv", [
+        BATCH_GRID,
+        ["run", "--spec", "SPEC"],
+        ["corpus", "--graphs", "road-sample"],
+        ["merge", "shard0.jsonl"],
+    ], ids=["batch", "run", "corpus", "merge"])
+    def test_csv_output_rejected_before_any_work(self, tmp_path, capsys, argv):
+        spec, _ = write_spec(tmp_path)
+        argv = [str(spec) if arg == "SPEC" else arg for arg in argv]
+        out_file = tmp_path / "run.csv"
+        assert main(argv + ["--output", str(out_file)]) == 1
+        captured = capsys.readouterr()
+        assert "CSV result sinks were removed" in captured.err
+        assert ".jsonl" in captured.err and "repro export" in captured.err
+        assert captured.out == "" and not out_file.exists()
+
+    def test_export_round_trip(self, tmp_path, capsys):
+        from test_engine_sink import manifest
+
+        from repro.engine.sink import JsonlSink
+
+        run_file, table = tmp_path / "run.jsonl", tmp_path / "table.csv"
+        records = [
+            ("c2", {"n": 30, "ok": True, "ratio": 0.5}),
+            ("c1", {"n": 40, "ok": False, "label": "42", "extra": None}),
+            ("c3", {"n": 50, "error": {"kind": "crash", "attempts": 2}}),
+        ]
+        with JsonlSink(run_file) as sink:
+            sink.start(manifest())
+            for cell, record in records:
+                sink.write(cell, record)
+            sink.note({"cell": "c3", "event": "retry"})
+        assert main(["export", str(run_file), "--output", str(table)]) == 0
+        assert "exported 3 record(s)" in capsys.readouterr().out
+        with table.open(newline="") as handle:
+            header, *rows = csv.reader(handle)
+        assert header == ["cell", "n", "ok", "ratio", "label", "extra", "error"]
+        with JsonlSink(run_file, resume=True) as resumed:
+            resumed.start(manifest())
+        assert [row[0] for row in rows] == list(resumed.completed)
+        assert rows[0] == ["c2", "30", "True", "0.5", "", "", ""]
+        assert rows[1] == ["c1", "40", "False", "", "42", "", ""]
+        assert json.loads(rows[2][-1]) == records[2][1]["error"]
+
+    def test_export_missing_file(self, tmp_path, capsys):
+        assert main(["export", str(tmp_path / "nope.jsonl"),
+                     "--output", str(tmp_path / "t.csv")]) == 1
+        assert "not found" in capsys.readouterr().err

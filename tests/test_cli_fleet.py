@@ -73,6 +73,12 @@ class TestFleet:
             main(BATCH + ["--fleet", "2", "--shard", "0/2",
                           "--output", str(tmp_path / "out.jsonl")])
 
+    @pytest.mark.parametrize("name", ["out.txt", "out.csv"])
+    def test_bad_output_suffix_fails_before_any_shard(self, tmp_path, capsys, name):
+        assert main(BATCH + ["--fleet", "2", "--output", str(tmp_path / name)]) == 1
+        assert "fleet: launching" not in capsys.readouterr().out
+        assert list(tmp_path.iterdir()) == []  # no shard file was created
+
     def test_fleet_runs_and_merges(self, tmp_path, capsys):
         out = tmp_path / "fleet.jsonl"
         full = tmp_path / "full.jsonl"

@@ -12,19 +12,18 @@ import pytest
 
 from repro.engine import BatchRunner
 from repro.engine.merge import MergeError, merge_shards
-from repro.engine.sink import JsonlSink, open_sink
+from repro.engine.sink import JsonlSink, SinkError, open_sink
 
 CELLS = BatchRunner.grid("random_regular", (30, 40), (4, 6), seeds=(0, 1))
 PARAMS = {"k": 1}
 
 
-def run_shards(tmp_path, of, backend="array", suffix=".jsonl", stem="s",
-               cells=CELLS):
+def run_shards(tmp_path, of, backend="array", stem="s", cells=CELLS):
     """Write the `of` shard files of one sweep; return their paths."""
     runner = BatchRunner(backend=backend)
     paths = []
     for index in range(of):
-        path = tmp_path / f"{stem}{index}{suffix}"
+        path = tmp_path / f"{stem}{index}.jsonl"
         with open_sink(path) as sink:
             runner.run("kdelta", cells, params_grid=[PARAMS], sink=sink,
                        shard=(index, of))
@@ -92,20 +91,6 @@ class TestHappyPath:
         assert manifest["cells"] == len(CELLS)
         assert result.manifest.grid_hash == manifest["grid_hash"]
 
-    def test_csv_shards_merge(self, tmp_path):
-        shards = run_shards(tmp_path, 2, suffix=".csv")
-        merged = tmp_path / "merged.csv"
-        result = merge_shards(shards, merged)
-        assert result.cells == len(CELLS)
-        full = run_full(tmp_path)
-        merged_rows = merged.read_text().splitlines()
-        assert len(merged_rows) == len(CELLS) + 1  # header + one row per cell
-        sidecar = json.loads(
-            (tmp_path / "merged.csv.manifest.json").read_text())
-        assert sidecar["shard"] is None
-        full_manifest = json.loads(full.read_text().splitlines()[0])["manifest"]
-        assert sidecar["grid_hash"] == full_manifest["grid_hash"]
-
     def test_merged_file_resumes_with_zero_cells(self, tmp_path):
         shards = run_shards(tmp_path, 2)
         merged = tmp_path / "merged.jsonl"
@@ -166,6 +151,18 @@ class TestValidation:
             merge_shards(shards, tmp_path / "out.jsonl")
         # The torn input was not mutated by the merge attempt.
         assert shards[0].read_text() == text[:-20]
+
+    def test_malformed_interior_line_rejected(self, tmp_path):
+        shards = run_shards(tmp_path, 2)
+        lines = shards[1].read_text().splitlines()
+        lines.insert(2, "{not json}")
+        shards[1].write_text("\n".join(lines) + "\n")
+        with pytest.raises(MergeError, match=r"s1\.jsonl: malformed JSONL at line 3"):
+            merge_shards(shards, tmp_path / "out.jsonl")
+
+    def test_csv_output_rejected_before_reading_shards(self, tmp_path):
+        with pytest.raises(SinkError, match="repro export"):
+            merge_shards([tmp_path / "ghost.jsonl"], tmp_path / "out.csv")
 
     def test_cell_error_record_refused(self, tmp_path):
         shards = run_shards(tmp_path, 2)

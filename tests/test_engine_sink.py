@@ -1,12 +1,12 @@
-"""Tests for the streaming result sinks (JSONL/CSV), manifests and resume."""
+"""Tests for the JSONL result sink, its one reader, manifests and resume."""
 
 import json
 
 import numpy as np
 import pytest
 
-from repro.engine import BatchRunner, CsvSink, GraphSpec, JsonlSink, SinkError, open_sink
-from repro.engine.sink import RunManifest, cell_id, cell_key, grid_hash, task_name
+from repro.engine import BatchRunner, GraphSpec, JsonlSink, SinkError, open_sink
+from repro.engine.sink import RunManifest, cell_id, cell_key, grid_hash, read_run, task_name
 
 
 def manifest(**overrides) -> RunManifest:
@@ -163,197 +163,47 @@ class TestJsonlSink:
             assert sink.completed == {}
         assert path.exists()
 
-
-class TestCsvSink:
-    def test_round_trip_with_sidecar_manifest(self, tmp_path):
-        path = tmp_path / "run.csv"
-        with CsvSink(path) as sink:
+    def test_torn_manifest_starts_fresh(self, tmp_path):
+        # a run killed during its very first write leaves a partial manifest
+        path = tmp_path / "run.jsonl"
+        path.write_text('{"manifest": {"task": "kd')
+        with JsonlSink(path, resume=True) as sink:
             sink.start(manifest())
-            for i, rec in enumerate(RECORDS):
-                sink.write(f"c{i}", rec)
-        header, *rows = path.read_text().splitlines()
-        assert header.startswith("cell,family,n,")
-        assert len(rows) == 2
-        sidecar = json.loads(sink.manifest_path.read_text())
-        assert RunManifest.from_dict(sidecar) == manifest()
-
-    def test_resume_retypes_scalars(self, tmp_path):
-        path = tmp_path / "run.csv"
-        with CsvSink(path) as sink:
-            sink.start(manifest())
-            sink.write("c0", RECORDS[0])
-        with CsvSink(path, resume=True) as resumed:
-            resumed.start(manifest())
-            rec = resumed.completed["c0"]
-            assert rec["rounds"] == 2 and isinstance(rec["rounds"], int)
-            assert rec["seconds"] == 0.25
-            assert rec["proper"] is True
-            assert rec["family"] == "gnp"
-
-    def test_torn_final_row_dropped_on_resume(self, tmp_path):
-        path = tmp_path / "run.csv"
-        with CsvSink(path) as sink:
-            sink.start(manifest())
-            sink.write("c0", RECORDS[0])
-        with path.open("a") as f:  # row the dying run never finished
-            f.write("c1,gnp,30")
-        with CsvSink(path, resume=True) as resumed:
-            resumed.start(manifest())
-            assert set(resumed.completed) == {"c0"}
-            resumed.write("c1", RECORDS[1])
-        # the torn tail is gone: the file parses as header + two whole rows
-        header, *rows = path.read_text().splitlines()
-        assert len(rows) == 2 and rows[1].startswith("c1,")
-
-    def test_row_truncated_inside_last_field_treated_as_torn(self, tmp_path):
-        # Field counting alone cannot catch this: the row has every column but
-        # its last value was cut mid-write.  The missing newline must flag it.
-        path = tmp_path / "run.csv"
-        with CsvSink(path) as sink:
-            sink.start(manifest())
-            sink.write("c0", RECORDS[0])
-            sink.write("c1", RECORDS[1])
-        text = path.read_text()
-        path.write_text(text[:-5])  # chop the tail of the last value + newline
-        with CsvSink(path, resume=True) as resumed:
-            resumed.start(manifest())
-            assert set(resumed.completed) == {"c0"}  # c1 must re-run, not resurface garbled
-
-    def test_malformed_interior_row_rejected(self, tmp_path):
-        path = tmp_path / "run.csv"
-        with CsvSink(path) as sink:
-            sink.start(manifest())
-            sink.write("c0", RECORDS[0])
-        with path.open("a") as f:
-            f.write("c1,only,three\n")  # complete line, wrong field count
-        with pytest.raises(SinkError, match="fields"):
-            CsvSink(path, resume=True).start(manifest())
-
-    def test_resume_without_sidecar_rejected(self, tmp_path):
-        path = tmp_path / "run.csv"
-        path.write_text("cell,rounds\nc0,1\n")
-        with pytest.raises(SinkError, match="sidecar"):
-            CsvSink(path, resume=True).start(manifest())
-
-    def test_unknown_columns_rejected(self, tmp_path):
-        path = tmp_path / "run.csv"
-        with CsvSink(path) as sink:
-            sink.start(manifest())
-            sink.write("c0", RECORDS[0])
-            with pytest.raises(SinkError, match="not in the CSV header"):
-                sink.write("c1", {**RECORDS[1], "surprise": 1})
+            assert sink.completed == {}
+            sink.write("c1", RECORDS[0])
+        run = read_run(path)
+        assert run.manifest == manifest() and not run.torn
+        assert run.records == [("c1", RECORDS[0])]
 
 
-class TestCsvTypedSchema:
-    """Regression: CSV resume used to re-type values heuristically (lossy —
-    the string ``"42"`` came back as the int ``42``).  The manifest sidecar
-    now carries a per-column type schema making resume an exact inverse."""
+MANIFEST_LINE = json.dumps({"manifest": manifest().to_dict()}) + "\n"
+C1_LINE = json.dumps({"cell": "c1", "record": RECORDS[0]}) + "\n"
+C2_LINE = json.dumps({"cell": "c2", "record": RECORDS[1]}) + "\n"
+EVENT_LINE = json.dumps({"event": {"cell": "c2", "event": "retry"}}) + "\n"
 
-    TRICKY = {"label": "42", "flag": "True", "count": 42, "ratio": 1.0,
-              "ok": True, "note": "", "extra": None}
 
-    def test_sidecar_records_column_schema(self, tmp_path):
-        path = tmp_path / "run.csv"
-        with CsvSink(path) as sink:
-            sink.start(manifest())
-            sink.write("c0", self.TRICKY)
-        sidecar = json.loads(sink.manifest_path.read_text())
-        assert sidecar["columns"] == {
-            "label": "str", "flag": "str", "count": "int", "ratio": "float",
-            "ok": "bool", "note": "str", "extra": "none",
-        }
-        # the schema rides along the manifest, not instead of it
-        assert RunManifest.from_dict(sidecar) == manifest()
-
-    def test_resume_round_trip_is_exact(self, tmp_path):
-        # the lossy cases: numeric-looking and bool-looking *strings*
-        path = tmp_path / "run.csv"
-        with CsvSink(path) as sink:
-            sink.start(manifest())
-            sink.write("c0", self.TRICKY)
-        with CsvSink(path, resume=True) as resumed:
-            resumed.start(manifest())
-            assert resumed.completed["c0"] == self.TRICKY
-            rec = resumed.completed["c0"]
-            assert rec["label"] == "42" and isinstance(rec["label"], str)
-            assert rec["flag"] == "True" and isinstance(rec["flag"], str)
-            assert rec["ok"] is True and rec["count"] == 42
-            assert rec["note"] == "" and rec["extra"] is None
-
-    def test_resume_round_trips_like_jsonl(self, tmp_path):
-        # the same records through both sinks resume to identical dicts
-        jsonl, csv_path = tmp_path / "run.jsonl", tmp_path / "run.csv"
-        other = {**self.TRICKY, "label": "7", "count": 7, "ok": False}
-        for cls, path in ((JsonlSink, jsonl), (CsvSink, csv_path)):
-            with cls(path) as sink:
-                sink.start(manifest())
-                sink.write("c0", self.TRICKY)
-                sink.write("c1", other)
-        with JsonlSink(jsonl, resume=True) as a, CsvSink(csv_path, resume=True) as b:
-            a.start(manifest())
-            b.start(manifest())
-            assert a.completed == b.completed
-
-    def test_float_column_stays_float(self, tmp_path):
-        # 1.0 must not collapse to the int 1 on resume
-        path = tmp_path / "run.csv"
-        with CsvSink(path) as sink:
-            sink.start(manifest())
-            sink.write("c0", {"x": 1.0})
-        with CsvSink(path, resume=True) as resumed:
-            resumed.start(manifest())
-            assert isinstance(resumed.completed["c0"]["x"], float)
-
-    def test_numpy_scalars_tag_as_plain_types(self, tmp_path):
-        path = tmp_path / "run.csv"
-        with CsvSink(path) as sink:
-            sink.start(manifest())
-            sink.write("c0", {"n": np.int64(3), "t": np.float64(0.5), "p": np.bool_(True)})
-        with CsvSink(path, resume=True) as resumed:
-            resumed.start(manifest())
-            assert resumed.completed["c0"] == {"n": 3, "t": 0.5, "p": True}
-
-    def test_mixed_type_column_rejected(self, tmp_path):
-        path = tmp_path / "run.csv"
-        with CsvSink(path) as sink:
-            sink.start(manifest())
-            sink.write("c0", {"x": 1})
-            with pytest.raises(SinkError, match="holds int values"):
-                sink.write("c1", {"x": "one"})
-
-    def test_newline_in_string_rejected(self, tmp_path):
-        # a quoted multi-line field would defeat the torn-tail detector
-        path = tmp_path / "run.csv"
-        with CsvSink(path) as sink:
-            sink.start(manifest())
-            with pytest.raises(SinkError, match="newline"):
-                sink.write("c0", {"x": "two\nlines"})
-
-    def test_legacy_sidecar_still_resumes(self, tmp_path):
-        # files written before the schema (no "columns" key) keep the old
-        # best-effort behavior instead of being rejected
-        path = tmp_path / "run.csv"
-        with CsvSink(path) as sink:
-            sink.start(manifest())
-            sink.write("c0", RECORDS[0])
-        sidecar = json.loads(sink.manifest_path.read_text())
-        del sidecar["columns"]
-        sink.manifest_path.write_text(json.dumps(sidecar))
-        with CsvSink(path, resume=True) as resumed:
-            resumed.start(manifest())
-            rec = resumed.completed["c0"]
-            assert rec["rounds"] == 2 and rec["proper"] is True  # heuristic still works
-
-    def test_schema_header_mismatch_rejected(self, tmp_path):
-        path = tmp_path / "run.csv"
-        with CsvSink(path) as sink:
-            sink.start(manifest())
-            sink.write("c0", RECORDS[0])
-        sidecar = json.loads(sink.manifest_path.read_text())
-        sidecar["columns"] = {"other": "int"}
-        sink.manifest_path.write_text(json.dumps(sidecar))
-        with pytest.raises(SinkError, match="column schema"):
-            CsvSink(path, resume=True).start(manifest())
+class TestReadRun:
+    @pytest.mark.parametrize("text, manifest_, records, events, torn", [
+        ("", None, [], [], False),
+        (MANIFEST_LINE + C1_LINE + '{"cell": "c2", "rec', manifest(),
+         [("c1", RECORDS[0])], [], True),
+        ('{"manifest": {"task"', None, [], [], True),
+        (MANIFEST_LINE + C1_LINE + EVENT_LINE + C2_LINE, manifest(),
+         [("c1", RECORDS[0]), ("c2", RECORDS[1])],
+         [{"cell": "c2", "event": "retry"}], False),
+        (MANIFEST_LINE + C1_LINE + "{not json}\n" + C2_LINE, SinkError, None, None, None),
+    ], ids=["empty", "torn-tail", "torn-manifest", "events", "malformed-interior"])
+    def test_one_policy(self, tmp_path, text, manifest_, records, events, torn):
+        path = tmp_path / "run.jsonl"
+        path.write_text(text)
+        if manifest_ is SinkError:
+            with pytest.raises(SinkError, match="malformed JSONL at line 3"):
+                read_run(path)
+        else:
+            run = read_run(path)
+            assert (run.manifest, run.records, run.events, run.torn) == (
+                manifest_, records, events, torn)
+        assert path.read_text() == text  # reading never mutates the file
 
 
 class TestSinkListeners:
@@ -365,14 +215,6 @@ class TestSinkListeners:
             sink.write("c0", RECORDS[0])
             sink.write("c1", RECORDS[1])
         assert seen == [("c0", RECORDS[0]), ("c1", RECORDS[1])]
-
-    def test_csv_sink_notifies_too(self, tmp_path):
-        seen = []
-        with CsvSink(tmp_path / "run.csv") as sink:
-            sink.add_listener(lambda cell, record: seen.append(cell))
-            sink.start(manifest())
-            sink.write("c0", RECORDS[0])
-        assert seen == ["c0"]
 
 
 class TestBackendTier:
@@ -429,11 +271,12 @@ class TestOpenSink:
     def test_suffix_dispatch(self, tmp_path):
         assert isinstance(open_sink(tmp_path / "a.jsonl"), JsonlSink)
         assert isinstance(open_sink(tmp_path / "a.ndjson"), JsonlSink)
-        assert isinstance(open_sink(tmp_path / "a.csv"), CsvSink)
 
     def test_unknown_suffix_rejected(self, tmp_path):
         with pytest.raises(SinkError, match="suffix"):
             open_sink(tmp_path / "a.parquet")
+        with pytest.raises(SinkError, match=r"CSV result sinks were removed.*\.jsonl.*repro export"):
+            open_sink(tmp_path / "a.csv")
 
 
 class TestRunnerManifest:

@@ -149,6 +149,11 @@ class TestJobStore:
             handle.write('{"cell": "c2", "rec')  # torn: the write never finished
         assert [obj["cell"] for obj in store.records("ab")] == ["c1"]
         assert store.manifest("ab")["task"] == "kdelta"
+        # a malformed interior line is refused, exactly as resume and merge do
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join([lines[0], "{garbage", lines[1]]) + "\n")
+        with pytest.raises(JobStoreError, match="malformed JSONL at line 2"):
+            store.records("ab")
 
 
 # --------------------------------------------------------------------------- #
@@ -266,6 +271,18 @@ class TestEvents:
         kinds = [kind for kind, _ in events]
         assert kinds == ["cell", "cell", "cell", "done"]
         assert events[-1][1]["state"] == "done"
+
+    def test_corrupt_records_file_is_500(self, server):
+        _, submitted = post(server.url + "/jobs", SPEC)
+        job_id = submitted["id"]
+        wait_terminal(server.url, job_id)
+        path = server.store.records_path(job_id)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join([lines[0], "{garbage", *lines[1:]]) + "\n")
+        for endpoint in ("records", "events"):
+            code, payload = http_error(
+                lambda: get(f"{server.url}/jobs/{job_id}/{endpoint}"))
+            assert code == 500 and "malformed JSONL at line 2" in payload["error"]
 
 
 # --------------------------------------------------------------------------- #
