@@ -1,8 +1,9 @@
-"""Compare the flagship solve's per-stage trace between two checkouts (B9).
+"""Compare the flagship solve's per-stage trace between two checkouts.
 
 Usage::
 
     python scripts/compare_flagship_trace.py BEFORE_DIR AFTER_DIR \\
+        --name B10_flagship_trial_values --title "B10 — ..." \\
         [--pairs 3] [--seconds 30] [--seed 2]
 
 Each pair runs ``perfbench/run.py --workload flagship-jit`` in BEFORE_DIR and
@@ -11,10 +12,12 @@ traced (``--trace 1``, for the per-layer metrics).  The table reports the
 median over pairs of every flagship metric and of the three glue differences
 the trace exposes: the ID-uniqueness check (``core.linial.total_s -
 core.linial.iterated_s``) and the Linial-step and k=1 glue (a corollary span
-minus its direct ``run_mother`` replay).  It writes
-``benchmarks/results/B9_flagship_glue.md`` and ``BENCH_B9.json`` in this
-checkout; EXPERIMENTS.md picks the table up on the next
-``scripts/generate_experiments_md.py``.
+minus its direct ``run_mother`` replay).  ``--name`` picks the entry it
+writes in this checkout: ``benchmarks/results/NAME.md`` (headed by
+``--title``) and ``BENCH_<ID>.json``, where ``ID`` is the part of NAME before
+its first underscore — so recording a new entry never touches an older one.
+EXPERIMENTS.md picks the table up on the next
+``scripts/generate_experiments_md.py`` once NAME is in its ``ORDER``.
 """
 
 from __future__ import annotations
@@ -38,10 +41,10 @@ ROWS = [
     ("↳ ID uniqueness check", "glue.id_check_s"),
     ("↳ iterated reduction", "core.linial.iterated_s"),
     ("↳ reduction steps", "core.corollaries.linial_step_s"),
-    ("↳ ↳ kernel replay (digits + mother)", "engine.run_mother.linial_kernel_s"),
+    ("↳ ↳ kernel replay (run_mother)", "engine.run_mother.linial_kernel_s"),
     ("↳ ↳ glue (span minus replay)", "glue.linial_step_s"),
     ("k=1 mother stage", "core.corollaries.kdelta_s"),
-    ("↳ kernel replay (digits + mother)", "engine.run_mother.kdelta_kernel_s"),
+    ("↳ kernel replay (run_mother)", "engine.run_mother.kdelta_kernel_s"),
     ("↳ glue (span minus replay)", "glue.kdelta_s"),
     ("color-class removal", "engine.remove_color_class_s"),
     ("record + verify", "api.records.coloring_record_s"),
@@ -76,6 +79,9 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("before", type=pathlib.Path)
     parser.add_argument("after", type=pathlib.Path)
+    parser.add_argument("--name", required=True,
+                        help="result file stem, e.g. B10_flagship_trial_values")
+    parser.add_argument("--title", required=True, help="the table's heading")
     parser.add_argument("--pairs", type=int, default=3)
     parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--seed", type=int, default=2)
@@ -95,7 +101,7 @@ def main() -> None:
     medians = {side: {key: statistics.median(s[key] for s in runs) for _, key in ROWS}
                for side, runs in samples.items()}
     lines = [
-        "### B9 — flagship jit solve: per-stage glue before vs after",
+        f"### {args.title}",
         "",
         "| stage | metric | before (s) | after (s) | speedup |",
         "|---|---|---|---|---|",
@@ -114,11 +120,11 @@ def main() -> None:
             f"{args.seconds:g} s per run, median of {args.pairs} interleaved pairs."
         )
     RESULTS.mkdir(parents=True, exist_ok=True)
-    (RESULTS / "B9_flagship_glue.md").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    (RESULTS / f"{args.name}.md").write_text("\n".join(lines) + "\n", encoding="utf-8")
     record = {"pairs": args.pairs, "seconds": args.seconds, "seed": args.seed,
               "medians": medians, "samples": samples, "provenance": provenance}
-    (RESULTS / "BENCH_B9.json").write_text(json.dumps(record, indent=2, sort_keys=True) + "\n",
-                                           encoding="utf-8")
+    bench = RESULTS / f"BENCH_{args.name.split('_')[0]}.json"
+    bench.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     print("\n".join(lines))
 
 

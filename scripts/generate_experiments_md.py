@@ -294,17 +294,33 @@ COMMENTARY = {
         "B9 — flagship jit solve: glue cut from the Linial and mother stages",
         "The flagship cell (grid, n = 10^6, Delta = 4, delta_plus_one on backend=\"jit\") spent more\n"
         "time in the glue around the compiled kernels than in the kernels.  Three pieces went:\n"
-        "the jit driver now derives each vertex's sequence digits with a fourth compiled kernel\n"
-        "(KernelProvider.sequence_coeffs) instead of f + 1 NumPy modulo-and-divide passes; linial_coloring's\n"
+        "the jit backend derived each vertex's sequence digits with a fourth compiled kernel\n"
+        "(KernelProvider.sequence_coeffs) instead of f + 1 NumPy modulo-and-divide passes (B10\n"
+        "superseded that kernel: the mother kernel now evaluates each trial polynomial from the\n"
+        "input color, with no digit table); linial_coloring's\n"
         "ID-uniqueness check is one sort plus an adjacent-equality scan instead of a hash-based\n"
         "np.unique; and the Corollary 1.2 wrappers derive the Theorem 1.1 orientation only for\n"
         "outdegree_coloring.  Every check still runs and the colors digest is unchanged.  Rows\n"
         "are medians over interleaved before/after pairs of perfbench/run.py --workload\n"
         "flagship-jit (--trace 0 for solve_s, --trace 1 for the stages), recorded with\n"
         "scripts/compare_flagship_trace.py; a kernel replay is the engine's run_mother on the\n"
-        "step's own inputs with the orientation and input check off, so the replay row now\n"
-        "includes the compiled digit pass.  The raw samples land in\n"
+        "step's own inputs with the orientation and input check off, so the replay row\n"
+        "included the compiled digit pass.  The raw samples land in\n"
         "benchmarks/results/BENCH_B9.json.",
+    ),
+    "B10_flagship_trial_values": (
+        "B10 — flagship jit solve: trial polynomials evaluated from the input color",
+        "After B9 the flagship's Linial stage was still its largest: every Linial step wrote an\n"
+        "(n, f + 1) table of base-q digits (168 MB in the first step, q = 163, f = 20) and the\n"
+        "mother kernel ran a 21-term modular Horner per vertex and per neighbour, although a\n"
+        "Linial step almost always needs the polynomial only at x = 0.  The digit kernel and its\n"
+        "table are gone: the mother kernel (python/numba source and its C translation) reads\n"
+        "the f + 1 digits of c + q on the fly, low to high against a running x^j mod q, and\n"
+        "short-circuits x = 0 to (c + q) % q.  It computes the same exact residue, so the colors\n"
+        "digest, the goldens and every E table are unchanged.  Rows are medians over interleaved\n"
+        "before/after pairs recorded with scripts/compare_flagship_trace.py --name\n"
+        "B10_flagship_trial_values (the same method as B9; a kernel replay row is now the mother\n"
+        "kernel alone).  The raw samples land in benchmarks/results/BENCH_B10.json.",
     ),
     "E10_baselines": (
         "E10 — baselines",
@@ -322,7 +338,7 @@ ORDER = [
     "E5_defective", "E6_delta_plus_one", "E7_theorem13", "E8_ruling_sets",
     "E9_one_round", "E10_baselines", "B1_batch_backends", "B2_parallel",
     "B3_kernels", "B4_scale", "B5_jit", "B6_serve", "B7_fleet", "B7_serve",
-    "B8_corpus", "B9_flagship_glue",
+    "B8_corpus", "B9_flagship_glue", "B10_flagship_trial_values",
 ]
 
 

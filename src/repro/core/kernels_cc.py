@@ -2,18 +2,21 @@
 system compiler, loaded via :mod:`ctypes`.
 
 When numba is not installed (the preferred tier, see
-:mod:`repro.core.kernels_jit`) but a C compiler is on PATH, the four
-kernels (the sequence-digit pass and the three hot primitives) are compiled
-*once* from the embedded source below into a small shared library and called
-through :mod:`ctypes` — ctypes foreign calls drop the GIL, and the kernels
-multi-thread their per-vertex loops with OpenMP when the toolchain supports
-it (``REPRO_NUM_THREADS`` caps the team size).
+:mod:`repro.core.kernels_jit`) but a C compiler is on PATH, the three
+kernels (the mother algorithm's trial scan, color-class removal and the
+Kuhn–Wattenhofer round) are compiled *once* from the embedded source below
+into a small shared library and called through :mod:`ctypes` — ctypes
+foreign calls drop the GIL, and the kernels multi-thread their per-vertex
+loops with OpenMP when the toolchain supports it (``REPRO_NUM_THREADS`` caps
+the team size).
 
 The C code is a line-for-line translation of the pure-Python kernels in
 :mod:`repro.core.kernels_jit` (the single source of semantics, parity-tested
 against the array backend), operating on the same int64 CSR arrays and
-caller-provided :class:`~repro.core.workspace.Workspace` scratch.  All
-arithmetic is non-negative int64 modular arithmetic, so the results are
+caller-provided :class:`~repro.core.workspace.Workspace` scratch.  The
+mother kernel reads each vertex's trial polynomial straight from its int64
+input color (a ``static inline`` digit-by-digit evaluation, no digit table).
+All arithmetic is non-negative int64 modular arithmetic, so the results are
 bit-identical to both the NumPy and the numba tiers.  The ctypes wrappers
 check that ABI at the boundary: an array that is not C-contiguous int64
 (1-byte for the flag and scratch arrays) raises :class:`TypeError` instead
@@ -50,36 +53,29 @@ _SOURCE = r"""
 #include <omp.h>
 #endif
 
-/* Horner evaluation of the degree-(f1-1) trial polynomial at x, mod q.
-   All operands are non-negative and q*q fits int64 (q <= ~3e9), matching
-   the int64 modular arithmetic of the NumPy and numba tiers exactly. */
-static inline int64_t horner(const int64_t *c, int64_t f1, int64_t x, int64_t q)
+/* p_c(x) mod q for the sequence polynomial of input color c: its f1
+   coefficients are the low base-q digits of c + q, taken low to high against
+   a running x^j mod q; at x = 0 only the constant digit survives.  All
+   operands are non-negative and q*q fits int64 (q <= 3037000499, enforced
+   by MotherParameters.require_int64), matching the int64 modular arithmetic
+   of the NumPy and numba tiers exactly. */
+static inline int64_t trial_value(int64_t c, int64_t f1, int64_t x, int64_t q)
 {
-    int64_t acc = 0;
-    for (int64_t j = f1 - 1; j >= 0; j--)
-        acc = (acc * x + c[j]) % q;
-    return acc;
-}
-
-void repro_sequence_coeffs(int64_t n, const int64_t *colors, int64_t q,
-                           int64_t f1, int64_t *out)
-{
-#ifdef _OPENMP
-#pragma omp parallel for schedule(static)
-#endif
-    for (int64_t r = 0; r < n; r++) {
-        int64_t rest = colors[r] + q;
-        int64_t *row = out + r * f1;
-        for (int64_t j = 0; j < f1; j++) {
-            row[j] = rest % q;
-            rest /= q;
-        }
+    int64_t rest = c + q;
+    if (x == 0)
+        return rest % q;
+    int64_t acc = 0, xj = 1;
+    for (int64_t j = 0; j < f1; j++) {
+        acc = (acc + rest % q * xj) % q;
+        rest /= q;
+        xj = xj * x % q;
     }
+    return acc;
 }
 
 void repro_mother_first(int64_t nact, const int64_t *act,
                         const int64_t *indptr, const int64_t *indices,
-                        const int64_t *coeffs, int64_t f1,
+                        const int64_t *colors_in, int64_t f1,
                         int64_t q, int64_t keff, int64_t d,
                         const uint8_t *active, const int64_t *colors,
                         int64_t lo, int64_t hi,
@@ -90,16 +86,15 @@ void repro_mother_first(int64_t nact, const int64_t *act,
 #endif
     for (int64_t r = 0; r < nact; r++) {
         int64_t v = act[r];
-        const int64_t *cv = coeffs + v * f1;
         int64_t slot = -1, slotval = 0;
         for (int64_t x = lo; x < hi; x++) {
-            int64_t val = horner(cv, f1, x, q);
+            int64_t val = trial_value(colors_in[v], f1, x, q);
             int64_t trial = (x % keff) * q + val;
             int64_t conflicts = 0;
             for (int64_t p = indptr[v]; p < indptr[v + 1]; p++) {
                 int64_t u = indices[p];
                 if (active[u]) {
-                    if (horner(coeffs + u * f1, f1, x, q) == val)
+                    if (trial_value(colors_in[u], f1, x, q) == val)
                         conflicts++;
                 } else if (colors[u] == trial) {
                     conflicts++;
@@ -298,10 +293,6 @@ class _CcKernels:
 
     def __init__(self, lib: ctypes.CDLL):
         self._lib = lib
-        lib.repro_sequence_coeffs.restype = None
-        lib.repro_sequence_coeffs.argtypes = [
-            c_int64, POINTER(c_int64), c_int64, c_int64, POINTER(c_int64),
-        ]
         lib.repro_mother_first.restype = None
         lib.repro_mother_first.argtypes = [
             c_int64, POINTER(c_int64), POINTER(c_int64), POINTER(c_int64),
@@ -331,19 +322,11 @@ class _CcKernels:
     def threads(self) -> int:
         return int(self._lib.repro_get_threads())
 
-    def sequence_coeffs(self, colors, q, out) -> None:
-        if colors.ndim != 1 or out.ndim != 2 or out.shape[0] != colors.size:
-            raise ValueError(f"sequence_coeffs: out shape {out.shape} does not "
-                             f"match {colors.size} colors")
-        self._lib.repro_sequence_coeffs(
-            colors.size, _p64(colors), q, out.shape[1], _p64(out),
-        )
-
-    def mother_first(self, act, indptr, indices, coeffs, q, keff, d, active,
+    def mother_first(self, act, indptr, indices, colors_in, f1, q, keff, d, active,
                      colors, lo, hi, first, firstval) -> None:
         self._lib.repro_mother_first(
             act.size, _p64(act), _p64(indptr), _p64(indices),
-            _p64(coeffs), coeffs.shape[1], q, keff, d,
+            _p64(colors_in), f1, q, keff, d,
             _pu8(active), _p64(colors), lo, hi, _p64(first), _p64(firstval),
         )
 
@@ -379,7 +362,6 @@ def cc_provider(cache_dir: str | os.PathLike | None = None):
         kind="cc",
         version=str(info.get("compiler", "cc")),
         threads=threads,
-        sequence_coeffs=kernels.sequence_coeffs,
         mother_first=kernels.mother_first,
         remove_class=kernels.remove_class,
         kw_round=kernels.kw_round,

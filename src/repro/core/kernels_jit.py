@@ -8,18 +8,15 @@ range directly).  Unlike the NumPy twin (:mod:`repro.core.vectorized`,
 :mod:`repro.core.reduce`), which materialises ``(active_edges x trials)``
 intermediates and scatter-adds them with ``bincount``, a compiled kernel
 
-* Horner-evaluates the trial polynomial on the fly (exact modular integer
-  arithmetic — bit-identical to the lazily evaluated NumPy tables),
+* evaluates each trial polynomial on the fly from the vertex's input color,
+  with no ``(n, f + 1)`` digit table (exact modular integer arithmetic —
+  bit-identical to the NumPy twin's lazily Horner-evaluated tables),
 * counts conflicts per vertex with an early exit as soon as the count
   exceeds ``d``, and stops scanning trials at the *first* ``d``-proper one
   (the same first-qualifying-trial tie-break the array kernel implements
   with ``argmax``), and
 * never allocates: callers pass scratch from the existing
   :class:`repro.core.workspace.Workspace` arena.
-
-A fourth kernel derives the polynomials the mother kernel evaluates: each
-vertex's base-``q`` digits of its input color, one row per vertex, in place of
-the NumPy twin's ``f + 1`` whole-array ``%``/``//`` passes.
 
 The kernels below are **pure Python and numba-compilable**: the ``numba``
 tier wraps them verbatim with ``@njit(cache=True, parallel=True,
@@ -85,26 +82,7 @@ __all__ = [
 # --------------------------------------------------------------------------- #
 
 
-def _kernel_sequence_coeffs(colors, q, out):
-    """Each vertex's color-sequence polynomial: the base-``q`` digits of its
-    input color ``+ q``.
-
-    ``out`` is ``(n, f + 1)``; row ``r`` receives the ``f + 1`` low digits of
-    ``colors[r] + q`` (the offset skips the constant polynomials, see
-    :mod:`repro.core.sequences`), exactly as
-    :func:`repro.core.vectorized.sequence_coefficients` computes them.  All
-    operands are non-negative, so floor and truncating division agree.
-    Writes only row ``r``.
-    """
-    f1 = out.shape[1]
-    for r in prange(colors.shape[0]):
-        rest = colors[r] + q
-        for j in range(f1):
-            out[r, j] = rest % q
-            rest //= q
-
-
-def _kernel_mother_first(act, indptr, indices, coeffs, q, keff, d, active,
+def _kernel_mother_first(act, indptr, indices, colors_in, f1, q, keff, d, active,
                          colors, lo, hi, first, firstval):
     """One mother-algorithm batch: find each active vertex's first good trial.
 
@@ -114,26 +92,47 @@ def _kernel_mother_first(act, indptr, indices, coeffs, q, keff, d, active,
     ``(x % keff) * q + p_v(x)``.  The first ``x`` with at most ``d`` conflicts
     is written to ``first[r]`` (with ``p_v(x)`` in ``firstval[r]``), or ``-1``.
 
+    ``p_u(x) mod q`` is evaluated from the input color ``c = colors_in[u]``
+    alone: the polynomial's coefficients are the ``f1`` low base-``q`` digits
+    of ``c + q`` (the offset skips the constant polynomials, see
+    :mod:`repro.core.sequences`), taken low to high against a running
+    ``x^j mod q``; at ``x = 0`` only the constant digit ``(c + q) % q``
+    survives.  All operands are non-negative and below ``q * q``, so the
+    value is the exact residue the NumPy twin's Horner pass computes.
+
     Reads only ``active``/``colors``; writes only slot ``r`` — safe and
     deterministic under any parallel schedule.
     """
-    f1 = coeffs.shape[1]
     for r in prange(act.shape[0]):
         v = act[r]
         slot = -1
         slotval = 0
         for x in range(lo, hi):
-            val = 0
-            for j in range(f1 - 1, -1, -1):
-                val = (val * x + coeffs[v, j]) % q
+            rest = colors_in[v] + q
+            if x == 0:
+                val = rest % q
+            else:
+                val = 0
+                xj = 1
+                for j in range(f1):
+                    val = (val + rest % q * xj) % q
+                    rest //= q
+                    xj = xj * x % q
             trial = (x % keff) * q + val
             conflicts = 0
             for p in range(indptr[v], indptr[v + 1]):
                 u = indices[p]
                 if active[u]:
-                    nval = 0
-                    for j in range(f1 - 1, -1, -1):
-                        nval = (nval * x + coeffs[u, j]) % q
+                    rest = colors_in[u] + q
+                    if x == 0:
+                        nval = rest % q
+                    else:
+                        nval = 0
+                        xj = 1
+                        for j in range(f1):
+                            nval = (nval + rest % q * xj) % q
+                            rest //= q
+                            xj = xj * x % q
                     if nval == val:
                         conflicts += 1
                 elif colors[u] == trial:
@@ -213,12 +212,11 @@ def _kernel_kw_round(verts, indptr, indices, colors, block, target, used):
 
 @dataclass
 class KernelProvider:
-    """A resolved compiled-kernel tier: the four kernels plus provenance."""
+    """A resolved compiled-kernel tier: the three kernels plus provenance."""
 
     kind: str  # "numba" | "cc" | "python"
     version: str
     threads: int
-    sequence_coeffs: Callable[..., None]
     mother_first: Callable[..., None]
     remove_class: Callable[..., None]
     kw_round: Callable[..., None]
@@ -254,7 +252,6 @@ def _numba_provider() -> KernelProvider | None:
             kind="numba",
             version=str(numba.__version__),
             threads=int(numba.get_num_threads()),
-            sequence_coeffs=njit(**flags)(_kernel_sequence_coeffs),
             mother_first=njit(**flags)(_kernel_mother_first),
             remove_class=njit(**flags)(_kernel_remove_class),
             kw_round=njit(**flags)(_kernel_kw_round),
@@ -276,7 +273,6 @@ def python_provider() -> KernelProvider:
         kind="python",
         version=platform.python_version(),
         threads=1,
-        sequence_coeffs=_kernel_sequence_coeffs,
         mother_first=_kernel_mother_first,
         remove_class=_kernel_remove_class,
         kw_round=_kernel_kw_round,
@@ -343,10 +339,11 @@ def run_mother_jit(
 
     The Python driver keeps the exact batch structure of the array twin —
     refresh the active-vertex frontier only after adoptions, adopt the first
-    qualifying trial — and delegates the digit pass to
-    ``kernels.sequence_coeffs`` and the per-batch scan to
-    ``kernels.mother_first``.  With ``kernels=None`` the process-wide provider
-    is used; if none is available the call transparently runs the array twin.
+    qualifying trial — and delegates the per-batch scan to
+    ``kernels.mother_first``, which evaluates every trial polynomial straight
+    from the int64 input colors (no digit table).  With ``kernels=None`` the
+    process-wide provider is used; if none is available the call
+    transparently runs the array twin.
     """
     from repro.congest.ids import validate_proper_coloring
     from repro.core.algorithm1 import derive_orientation
@@ -370,6 +367,7 @@ def run_mother_jit(
         validate_proper_coloring(graph, input_colors, m)
     if params is None:
         params = MotherParameters.derive(m=m, delta=delta, d=d, k=k)
+    params.require_int64()
 
     n = graph.n
     if n == 0:
@@ -383,9 +381,7 @@ def run_mother_jit(
                       "kernel": kernels.kind},
         )
 
-    q, k_eff, dd = params.q, params.k, params.d
-    coeffs = np.empty((n, params.f + 1), dtype=np.int64)
-    kernels.sequence_coeffs(input_colors, q, coeffs)
+    q, k_eff, dd, f1 = params.q, params.k, params.d, params.f + 1
     ws = workspace if workspace is not None else Workspace()
     indptr, indices = graph.indptr, graph.indices
 
@@ -407,7 +403,7 @@ def run_mother_jit(
         hi = min(lo + k_eff, q)
         first = ws.full("jit_first", act.size, -1)
         firstval = ws.take("jit_firstval", act.size)
-        kernels.mother_first(act, indptr, indices, coeffs, q, k_eff, dd,
+        kernels.mother_first(act, indptr, indices, input_colors, f1, q, k_eff, dd,
                              active, colors, lo, hi, first, firstval)
         adopters = first >= 0
         if np.any(adopters):

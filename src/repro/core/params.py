@@ -25,7 +25,11 @@ from dataclasses import dataclass
 
 from repro.fields.primes import prime_in_range, next_prime
 
-__all__ = ["MotherParameters", "ParameterError"]
+__all__ = ["MotherParameters", "ParameterError", "INT64_MAX_Q"]
+
+#: Largest field size the array and jit backends accept: ``floor(sqrt(2^63 - 1))``, so
+#: every modular product of two residues ``< q`` fits a signed 64-bit integer.
+INT64_MAX_Q = 3_037_000_499
 
 
 class ParameterError(ValueError):
@@ -80,6 +84,17 @@ class MotherParameters:
 
     def Z_int_guard(self) -> float:
         return self.Z
+
+    def require_int64(self) -> None:
+        """Refuse a ``q`` whose products of two residues would wrap int64.
+
+        Called by the array and jit implementations of Algorithm 1; the
+        reference backend computes on Python ints and has no such limit."""
+        if self.q > INT64_MAX_Q:
+            raise ParameterError(
+                f"field size q={self.q} exceeds {INT64_MAX_Q}: q*q overflows the "
+                "int64 arithmetic of the array and jit backends"
+            )
 
     # ------------------------------------------------------------------ #
     # Derived quantities

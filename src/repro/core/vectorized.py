@@ -116,6 +116,7 @@ def run_mother_algorithm_vectorized(
         validate_proper_coloring(graph, input_colors, m)
     if params is None:
         params = MotherParameters.derive(m=m, delta=delta, d=d, k=k)
+    params.require_int64()
 
     n = graph.n
     if n == 0:
