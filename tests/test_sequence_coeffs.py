@@ -1,14 +1,14 @@
-"""The jit digit pass: ``KernelProvider.sequence_coeffs`` on every tier.
+"""Color-sequence coefficients and how the input colors reach the jit kernels.
 
-Each vertex's color-sequence polynomial is the base-``q`` digits of its input
-color ``+ q``.  The jit backend derives them with a kernel (the plain-Python
-source the numba tier compiles, and its C translation) instead of NumPy's
-whole-array passes; these tests pin every tier to
-:func:`repro.core.vectorized.sequence_coefficients` and pin the C wrappers'
-int64 / C-contiguous ABI check.
+Each vertex's color-sequence polynomial has as coefficients the ``f + 1`` low
+base-``q`` digits of its input color ``+ q``.  The array backend materialises
+them with :func:`repro.core.vectorized.sequence_coefficients`; the jit mother
+kernel evaluates the same polynomial straight from the int64 input color.
+These tests pin the NumPy digits to exact integer arithmetic, the kernels'
+evaluation to those digits, every input-coloring layout through the jit
+driver, and the C wrappers' int64 / C-contiguous ABI check.
 """
 
-import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
@@ -17,7 +17,8 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import make_input_coloring
 from repro.congest import generators
-from repro.core.kernels_jit import KernelProvider, python_provider, run_mother_jit
+from repro.congest.graph import Graph
+from repro.core.kernels_jit import python_provider, run_mother_jit
 from repro.core.vectorized import sequence_coefficients
 from repro.engine import JitEngine, get_engine
 
@@ -38,12 +39,6 @@ def providers(cc):
     return [python_provider()] + ([cc] if cc is not None else [])
 
 
-def _digits(provider, colors: np.ndarray, q: int, f: int) -> np.ndarray:
-    out = np.empty((colors.size, f + 1), dtype=np.int64)
-    provider.sequence_coeffs(colors, q, out)
-    return out
-
-
 def _colors(seed: int, size: int, high: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     colors = rng.integers(0, high, size=size, dtype=np.int64)
@@ -51,49 +46,67 @@ def _colors(seed: int, size: int, high: int) -> np.ndarray:
     return colors
 
 
-class TestDigitParity:
-    @pytest.mark.parametrize("f", range(21))
-    def test_every_tier_matches_numpy(self, providers, f):
-        for q in PRIMES:
-            colors = _colors(f * 31 + q % 97, 64, 2**62)
-            expected = sequence_coefficients(colors, SimpleNamespace(q=q, f=f))
-            for provider in providers:
-                got = _digits(provider, colors, q, f)
-                assert np.array_equal(got, expected), (provider.kind, q, f)
+def _kernel_values(provider, colors_in: np.ndarray, f1: int, q: int, x: int) -> np.ndarray:
+    """``p_c(x) mod q`` as the kernel computes it: on an edgeless graph every
+    vertex adopts the first trial ``x``, so ``firstval`` is its own value."""
+    n = colors_in.size
+    act = np.arange(n, dtype=np.int64)
+    first = np.empty(n, dtype=np.int64)
+    firstval = np.empty(n, dtype=np.int64)
+    graph = Graph(n, [])
+    provider.mother_first(act, graph.indptr, graph.indices, colors_in, f1, q, q, 0,
+                          np.ones(n, dtype=bool), -np.ones(n, dtype=np.int64),
+                          x, x + 1, first, firstval)
+    assert (first == x).all()
+    return firstval
 
+
+class TestDigitParity:
     @settings(max_examples=40, deadline=None)
     @given(
         q=st.sampled_from(PRIMES),
         f=st.integers(min_value=0, max_value=20),
+        x_frac=st.floats(min_value=0, max_value=1, exclude_max=True),
         colors=st.lists(st.integers(min_value=0, max_value=2**62), min_size=1, max_size=32),
     )
-    def test_property_parity(self, providers, q, f, colors):
+    def test_property_parity(self, providers, q, f, x_frac, colors):
+        # NumPy digits equal exact Python-int digits of c + q, and every
+        # kernel tier's on-the-fly value equals Horner over those digits.
+        x = int(x_frac * q)
         colors = np.array(colors, dtype=np.int64)
-        expected = sequence_coefficients(colors, SimpleNamespace(q=q, f=f))
+        digits = sequence_coefficients(colors, SimpleNamespace(q=q, f=f))
+        expected_digits, expected_values = [], []
+        for c in colors.tolist():
+            rest, row = c + q, []
+            for _ in range(f + 1):
+                row.append(rest % q)
+                rest //= q
+            expected_digits.append(row)
+            expected_values.append(sum(a * x**j for j, a in enumerate(row)) % q)
+        assert digits.tolist() == expected_digits
         for provider in providers:
-            assert np.array_equal(_digits(provider, colors, q, f), expected)
+            got = _kernel_values(provider, colors, f + 1, q, x)
+            assert got.tolist() == expected_values, (provider.kind, q, f, x)
 
     def test_digits_reconstruct_the_offset_color(self, providers):
-        # f + 1 digits are enough for colors < q^(f+1) - q: Horner recovers c + q.
+        # f + 1 digits are enough for colors < q^(f+1) - q: Horner at x = q
+        # recovers c + q, and the kernels' value at x = 1 is the digit sum.
         q, f = 163, 3
         colors = _colors(5, 200, q ** (f + 1) - q)
+        digits = sequence_coefficients(colors, SimpleNamespace(q=q, f=f))
+        value = np.zeros_like(colors)
+        for j in range(f, -1, -1):
+            value = value * q + digits[:, j]
+        assert np.array_equal(value, colors + q)
         for provider in providers:
-            digits = _digits(provider, colors, q, f)
-            value = np.zeros_like(colors)
-            for j in range(f, -1, -1):
-                value = value * q + digits[:, j]
-            assert np.array_equal(value, colors + q)
+            got = _kernel_values(provider, colors, f + 1, q, 1)
+            assert np.array_equal(got, digits.sum(axis=1) % q), provider.kind
 
     def test_empty_input(self, providers):
+        empty = np.empty(0, dtype=np.int64)
+        assert sequence_coefficients(empty, SimpleNamespace(q=7, f=4)).shape == (0, 5)
         for provider in providers:
-            assert _digits(provider, np.empty(0, dtype=np.int64), 7, 4).shape == (0, 5)
-
-    def test_field_is_required_on_every_tier(self, providers):
-        field = {f.name: f for f in dataclasses.fields(KernelProvider)}["sequence_coeffs"]
-        assert field.default is dataclasses.MISSING
-        assert field.default_factory is dataclasses.MISSING
-        for provider in providers:
-            assert callable(provider.sequence_coeffs)
+            assert _kernel_values(provider, empty, 5, 7, 0).shape == (0,)
 
 
 class TestInputLayouts:
@@ -144,40 +157,34 @@ class TestCcBoundary:
         if cc is None:
             pytest.skip("no working C tier on this machine")
 
+    @staticmethod
+    def _call(cc, act=None, colors_in=None, active=None):
+        graph = generators.ring(8)
+        act = np.arange(8, dtype=np.int64) if act is None else act
+        colors_in = np.arange(8, dtype=np.int64) if colors_in is None else colors_in
+        active = np.ones(8, dtype=bool) if active is None else active
+        first = np.empty(8, dtype=np.int64)
+        firstval = np.empty(8, dtype=np.int64)
+        cc.mother_first(act, graph.indptr, graph.indices, colors_in, 2, 5, 5, 0,
+                        active, -np.ones(8, dtype=np.int64), 0, 5, first, firstval)
+
+    def test_mother_first_accepts_the_abi(self, cc):
+        self._call(cc)
+
+    def test_mother_first_rejects_int32_frontier(self, cc):
+        with pytest.raises(TypeError, match="kernel ABI"):
+            self._call(cc, act=np.arange(8, dtype=np.int32))
+        with pytest.raises(TypeError, match="kernel ABI"):
+            self._call(cc, active=np.ones(8, dtype=np.int64))
+
     @pytest.mark.parametrize("make", [
         lambda c: c.astype(np.int32),
         lambda c: np.repeat(c, 2)[::2],
         lambda c: c.astype(np.float64),
     ], ids=["int32", "strided", "float64"])
-    def test_sequence_coeffs_rejects_bad_colors(self, cc, make):
-        colors = make(np.arange(10, dtype=np.int64))
-        out = np.empty((10, 3), dtype=np.int64)
+    def test_mother_first_rejects_bad_input_colors(self, cc, make):
         with pytest.raises(TypeError, match="kernel ABI"):
-            cc.sequence_coeffs(colors, 7, out)
-
-    def test_sequence_coeffs_rejects_bad_out(self, cc):
-        colors = np.arange(10, dtype=np.int64)
-        with pytest.raises(TypeError, match="kernel ABI"):
-            cc.sequence_coeffs(colors, 7, np.empty((10, 3), dtype=np.int32))
-        with pytest.raises(TypeError, match="kernel ABI"):
-            cc.sequence_coeffs(colors, 7, np.empty((3, 10), dtype=np.int64).T)
-        with pytest.raises(ValueError, match="does not match"):
-            cc.sequence_coeffs(colors, 7, np.empty((9, 3), dtype=np.int64))
-
-    def test_mother_first_rejects_int32_frontier(self, cc):
-        graph = generators.ring(8)
-        coeffs = np.zeros((8, 2), dtype=np.int64)
-        active = np.ones(8, dtype=bool)
-        colors = -np.ones(8, dtype=np.int64)
-        first = np.empty(8, dtype=np.int64)
-        firstval = np.empty(8, dtype=np.int64)
-        act = np.arange(8, dtype=np.int32)
-        with pytest.raises(TypeError, match="kernel ABI"):
-            cc.mother_first(act, graph.indptr, graph.indices, coeffs, 5, 5, 0,
-                            active, colors, 0, 5, first, firstval)
-        with pytest.raises(TypeError, match="kernel ABI"):
-            cc.mother_first(act.astype(np.int64), graph.indptr, graph.indices, coeffs,
-                            5, 5, 0, active.astype(np.int64), colors, 0, 5, first, firstval)
+            self._call(cc, colors_in=make(np.arange(8, dtype=np.int64)))
 
     def test_reductions_reject_int32_colors(self, cc):
         graph = generators.ring(8)

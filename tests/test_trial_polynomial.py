@@ -7,8 +7,9 @@ low base-``q`` digits of ``c + q``, and ``x = 0`` short-circuits to
 compiles) and the C tier to the NumPy path of the array backend
 (:func:`repro.core.vectorized.sequence_coefficients` plus Horner), pin
 ``run_mother_jit`` to the array backend on runs where most vertices miss
-``x = 0``, pin the C wrappers' int64 / C-contiguous ABI check, and pin the
-int64 field-size guard shared by the array and jit backends.
+``x = 0``, and pin the int64 field-size guard shared by the array and jit
+backends.  The C wrappers' ABI checks and the input-coloring layouts are in
+``test_sequence_coeffs.py``.
 """
 
 import dataclasses
@@ -219,15 +220,6 @@ class TestRunMotherParity:
                 assert np.array_equal(got.parts, expected.parts), (provider.kind, name)
                 assert got.rounds == expected.rounds, (provider.kind, name)
 
-    def test_engine_accepts_any_layout(self):
-        graph, colors, m = self._workload(1)
-        expected = get_engine("array").run_mother(graph, colors, m, d=1, k=1)
-        engine = JitEngine()
-        for name, layout in self._layouts(colors).items():
-            got = engine.run_mother(graph, layout, m, d=1, k=1)
-            assert np.array_equal(got.colors, expected.colors), name
-            assert np.array_equal(got.parts, expected.parts), name
-
 
 class TestInt64FieldGuard:
     """``q * q`` must fit int64; the array and jit backends refuse larger
@@ -277,51 +269,3 @@ class TestProviderShape:
         for provider in providers:
             assert all(callable(getattr(provider, name)) for name in kernels)
 
-
-class TestCcBoundary:
-    """The C wrappers reject arrays outside the kernel ABI instead of reading
-    them through a wrong-typed pointer."""
-
-    @pytest.fixture(autouse=True)
-    def _needs_cc(self, cc):
-        if cc is None:
-            pytest.skip("no working C tier on this machine")
-
-    @staticmethod
-    def _call(cc, act=None, colors_in=None, active=None):
-        graph = generators.ring(8)
-        act = np.arange(8, dtype=np.int64) if act is None else act
-        colors_in = np.arange(8, dtype=np.int64) if colors_in is None else colors_in
-        active = np.ones(8, dtype=bool) if active is None else active
-        first = np.empty(8, dtype=np.int64)
-        firstval = np.empty(8, dtype=np.int64)
-        cc.mother_first(act, graph.indptr, graph.indices, colors_in, 2, 5, 5, 0,
-                        active, -np.ones(8, dtype=np.int64), 0, 5, first, firstval)
-
-    def test_mother_first_accepts_the_abi(self, cc):
-        self._call(cc)
-
-    def test_mother_first_rejects_int32_frontier(self, cc):
-        with pytest.raises(TypeError, match="kernel ABI"):
-            self._call(cc, act=np.arange(8, dtype=np.int32))
-        with pytest.raises(TypeError, match="kernel ABI"):
-            self._call(cc, active=np.ones(8, dtype=np.int64))
-
-    @pytest.mark.parametrize("make", [
-        lambda c: c.astype(np.int32),
-        lambda c: np.repeat(c, 2)[::2],
-        lambda c: c.astype(np.float64),
-    ], ids=["int32", "strided", "float64"])
-    def test_mother_first_rejects_bad_input_colors(self, cc, make):
-        with pytest.raises(TypeError, match="kernel ABI"):
-            self._call(cc, colors_in=make(np.arange(8, dtype=np.int64)))
-
-    def test_reductions_reject_int32_colors(self, cc):
-        graph = generators.ring(8)
-        verts = np.array([0, 2], dtype=np.int64)
-        used = np.zeros(2 * 3, dtype=np.uint8)
-        colors = np.array([5, 1, 4, 0, 1, 0, 1, 0], dtype=np.int32)
-        with pytest.raises(TypeError, match="kernel ABI"):
-            cc.remove_class(verts, graph.indptr, graph.indices, colors, 3, used)
-        with pytest.raises(TypeError, match="kernel ABI"):
-            cc.kw_round(verts, graph.indptr, graph.indices, colors, 4, 3, used)
