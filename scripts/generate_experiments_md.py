@@ -322,6 +322,22 @@ COMMENTARY = {
         "B10_flagship_trial_values (the same method as B9; a kernel replay row is now the mother\n"
         "kernel alone).  The raw samples land in benchmarks/results/BENCH_B10.json.",
     ),
+    "B11_flagship_one_scan": (
+        "B11 — flagship jit solve: one same-color scan, no Linial-entry edge scan",
+        "Every coloring check now goes through one primitive, Graph.same_color: a bool mask over\n"
+        "the CSR entries on the cached src_index, where each check used to rebuild the (m, 2)\n"
+        "edge_array.  On the flagship this touches two stages.  Linial no longer scans the edges\n"
+        "to prove the IDs proper: the uniqueness sort it already runs, plus a range check on the\n"
+        "sorted ends, is that proof (distinct IDs are a proper coloring of any graph).  The\n"
+        "dropped scan ran inside iterated_color_reduction, so the saving shows in the \"iterated\n"
+        "reduction\" row, while the reduction steps themselves are unchanged.  The record stage\n"
+        "asserts properness with one mask and counts the colors once, for both the Delta + 1\n"
+        "bound and \"colors used\".  The colors digest, the goldens and every E table are\n"
+        "unchanged.  Rows are medians over 5 interleaved before/after pairs recorded with\n"
+        "scripts/compare_flagship_trace.py --name B11_flagship_one_scan (the same method as B9\n"
+        "and B10); solve_s was lower after the change in all 5 pairs, but 5 pairs are too few to\n"
+        "claim a gain.  The raw samples land in benchmarks/results/BENCH_B11.json.",
+    ),
     "E10_baselines": (
         "E10 — baselines",
         "The mother algorithm at k = 1 matches the locally-iterative (BEG18) regime; adding\n"
@@ -339,6 +355,7 @@ ORDER = [
     "E9_one_round", "E10_baselines", "B1_batch_backends", "B2_parallel",
     "B3_kernels", "B4_scale", "B5_jit", "B6_serve", "B7_fleet", "B7_serve",
     "B8_corpus", "B9_flagship_glue", "B10_flagship_trial_values",
+    "B11_flagship_one_scan",
 ]
 
 

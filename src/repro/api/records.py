@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from typing import Any
 
+from repro.verify.coloring import assert_proper_coloring
+
 __all__ = ["coloring_record"]
 
 
@@ -19,15 +21,15 @@ def coloring_record(result, verify_graph=None, max_colors=None) -> dict[str, Any
 
     With ``verify_graph`` the coloring is asserted proper first (the hard
     invariant every experiment relies on); ``max_colors`` additionally bounds
-    the color values.
+    the number of colors used.  The colors are counted once, for both.
     """
-    if verify_graph is not None:
-        from repro.verify.coloring import assert_proper_coloring
-
-        assert_proper_coloring(verify_graph, result.colors, max_colors=max_colors)
+    if verify_graph is None:
+        used = result.num_colors
+    else:
+        used = assert_proper_coloring(verify_graph, result.colors, max_colors=max_colors)
     record: dict[str, Any] = {
         "rounds": int(result.rounds),
-        "colors used": int(result.num_colors),
+        "colors used": int(used),
         "color space": int(result.color_space_size),
         "_colors": result.colors,
     }

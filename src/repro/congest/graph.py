@@ -441,6 +441,17 @@ class Graph:
         mask = src < self._indices
         return np.stack([src[mask], self._indices[mask]], axis=1)
 
+    def same_color(self, colors) -> np.ndarray:
+        """Bool mask over the CSR entries: ``colors[src_index] == colors[indices]``.
+
+        The one same-color scan behind every coloring check.  Each edge appears
+        twice, so ``bincount(src_index[mask], minlength=n)`` is the defect
+        vector, ``mask & (src_index < indices)`` picks each monochromatic edge
+        once, and the first ``True`` entry is the lexicographically first one.
+        """
+        colors = np.asarray(colors)
+        return colors[self.src_index] == colors[self._indices]
+
     def incident_csr_entries(self, vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Gather the CSR entry positions incident to ``vertices`` (frontier compaction).
 

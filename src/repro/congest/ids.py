@@ -163,12 +163,11 @@ def validate_proper_coloring(graph: Graph, colors: np.ndarray, m: int | None = N
         raise InputColoringError(
             f"color {int(colors.max())} out of range for declared m={m}"
         )
-    edges = graph.edge_array()
-    if edges.size:
-        same = colors[edges[:, 0]] == colors[edges[:, 1]]
-        if np.any(same):
-            u, v = edges[np.argmax(same)]
-            raise InputColoringError(
-                f"not a proper coloring: edge ({int(u)}, {int(v)}) is monochromatic "
-                f"with color {int(colors[u])}"
-            )
+    same = graph.same_color(colors)
+    if same.any():
+        i = int(np.argmax(same))
+        u, v = graph.src_index[i], graph.indices[i]
+        raise InputColoringError(
+            f"not a proper coloring: edge ({int(u)}, {int(v)}) is monochromatic "
+            f"with color {int(colors[u])}"
+        )

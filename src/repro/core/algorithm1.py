@@ -159,14 +159,8 @@ def derive_orientation(
     array operations (via the graph's cached edge-source array), so only the
     final — typically tiny — set of oriented edges is materialised in Python.
     """
-    edges = graph.edge_array()
-    if edges.size == 0:
-        return set()
-    u, v = edges[:, 0], edges[:, 1]
-    mono = colors[u] == colors[v]
-    if not np.any(mono):
-        return set()
-    u, v = u[mono], v[mono]
+    mono = graph.same_color(colors) & (graph.src_index < graph.indices)
+    u, v = graph.src_index[mono], graph.indices[mono]
     from_u = (parts[u] > parts[v]) | ((parts[u] == parts[v]) & (input_colors[u] < input_colors[v]))
     src = np.where(from_u, u, v)
     dst = np.where(from_u, v, u)

@@ -210,6 +210,8 @@ def defective_coloring(
 
 from repro.api.records import coloring_record  # noqa: E402
 from repro.api.registry import ParamSpec, register_algorithm  # noqa: E402
+from repro.verify.coloring import assert_defective_coloring  # noqa: E402
+from repro.verify.orientation import assert_outdegree_orientation  # noqa: E402
 
 
 @register_algorithm(
@@ -257,8 +259,6 @@ def _run_delta_squared(w, engine):
                       help="outdegree budget of the orientation")],
 )
 def _run_outdegree(w, engine, beta: int = 1):
-    from repro.verify.orientation import assert_outdegree_orientation
-
     res = outdegree_coloring(w.graph, w.input_colors, w.m, beta=beta, backend=engine)
     assert_outdegree_orientation(w.graph, res.colors, res.orientation, beta)
     record = coloring_record(res)
@@ -286,7 +286,7 @@ def _run_outdegree(w, engine, beta: int = 1):
 def _run_defective_one_round(w, engine, d: int = 1):
     res = defective_coloring_one_round(w.graph, w.input_colors, w.m, d=d, backend=engine)
     record = coloring_record(res)
-    record["max defect"] = _checked_defect(w.graph, res.colors, d)
+    record["max defect"] = assert_defective_coloring(w.graph, res.colors, d)
     return record
 
 
@@ -301,17 +301,5 @@ def _run_defective_one_round(w, engine, d: int = 1):
 def _run_defective(w, engine, d: int = 1):
     res = defective_coloring(w.graph, w.input_colors, w.m, d=d, backend=engine)
     record = coloring_record(res)
-    record["max defect"] = _checked_defect(w.graph, res.colors, d)
+    record["max defect"] = assert_defective_coloring(w.graph, res.colors, d)
     return record
-
-
-def _checked_defect(graph, colors, d: int) -> int:
-    """The measured max defect, asserted against the corollary's bound ``d``."""
-    from repro.verify.coloring import max_defect
-
-    defect = int(max_defect(graph, colors))
-    if defect > d:
-        raise AssertionError(
-            f"defective coloring violated its bound: max defect {defect} > d = {d}"
-        )
-    return defect

@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.congest.graph import Graph
-from repro.congest.ids import assign_unique_ids, validate_proper_coloring
+from repro.congest.ids import InputColoringError, assign_unique_ids, validate_proper_coloring
 from repro.core.corollaries import linial_color_reduction
 from repro.core.results import ColoringResult
 from repro.engine.base import Engine
@@ -43,9 +43,9 @@ def iterated_color_reduction(
         ``256 * Delta^2``, the bound of Corollary 1.2 (1)).
     validate_input:
         Check that ``input_colors`` is a proper ``m``-coloring *once*, here at
-        entry.  The interior reduction steps always skip re-validation: every
-        step's output is a proper coloring by Theorem 1.1, so validating it
-        again inside each iteration is ``O(|E|)`` of pure overhead.
+        entry.  The interior steps never re-validate: each step's output is
+        proper by Theorem 1.1.  :func:`linial_coloring` passes ``False``: its
+        uniqueness-and-range proof on the IDs already covers the input.
 
     Returns
     -------
@@ -61,9 +61,7 @@ def iterated_color_reduction(
     colors = np.asarray(input_colors, dtype=np.int64)
     space = int(m)
     if validate_input and space > target_colors:
-        # Validate once, up front — but only when a reduction step will
-        # actually run (the no-op path never validated before the hoist
-        # either: validation used to live inside the first mother call).
+        # once, up front, and only when a reduction step will run
         validate_proper_coloring(graph, colors, m)
     history = [space]
     rounds = 0
@@ -118,16 +116,26 @@ def linial_coloring(
         ``max(ids) + 1``.
     target_colors:
         Stop once the color space is at most this bound (default ``256 Delta^2``).
+
+    Validation is a uniqueness-and-range proof, not an ``O(|E|)`` edge scan:
+    distinct IDs in ``[id_space]`` are a proper coloring of any graph.
     """
     if ids is None:
         ids = assign_unique_ids(graph, id_space=id_space, seed=seed)
     ids = np.asarray(ids, dtype=np.int64)
+    if ids.shape != (graph.n,):
+        raise InputColoringError(f"ids have shape {ids.shape}, expected ({graph.n},)")
     ordered = np.sort(ids)
     if (ordered[1:] == ordered[:-1]).any():
         raise ValueError("ids must be unique")
-    space = int(id_space) if id_space is not None else (int(ids.max()) + 1 if ids.size else 1)
+    space = int(id_space) if id_space is not None else (int(ordered[-1]) + 1 if ids.size else 1)
+    if ids.size and (ordered[0] < 0 or ordered[-1] >= space):
+        raise InputColoringError(
+            f"ids must lie in [0, {space}), got range [{int(ordered[0])}, {int(ordered[-1])}]"
+        )
     return iterated_color_reduction(
         graph, ids, space, target_colors=target_colors, backend=backend,
+        validate_input=False,
     )
 
 

@@ -7,6 +7,8 @@ from typing import Any
 
 import numpy as np
 
+from repro.verify.coloring import num_distinct
+
 __all__ = ["ColoringResult", "RulingSetResult"]
 
 
@@ -47,11 +49,7 @@ class ColoringResult:
     @property
     def num_colors(self) -> int:
         """Number of distinct colors actually used."""
-        if self.colors.size == 0:
-            return 0
-        if self.colors.dtype == object:
-            return len(set(self.colors.tolist()))
-        return int(np.unique(self.colors).size)
+        return num_distinct(self.colors)
 
     @property
     def n(self) -> int:

@@ -69,7 +69,9 @@ def ruling_set_from_coloring(
     if colors.size and (colors.min() < 0 or colors.max() >= num_colors):
         raise ValueError("colors out of the declared range [num_colors]")
 
-    t = max(1, math.ceil(math.log(max(num_colors, 2)) / math.log(base)))
+    t = 1  # ceil(log_B C) in integers; float logs put log(125) / log(5) above 3
+    while base ** t < num_colors:
+        t += 1
     candidates = np.ones(graph.n, dtype=bool)
     rounds = 0
 
@@ -245,7 +247,7 @@ def _run_ruling_set(w, engine, r: int = 2, baseline: bool = False):
 
     fn = ruling_set_sew13_baseline if baseline else ruling_set_theorem15
     res = fn(w.graph, w.input_colors, w.m, r=r, backend=engine)
-    assert_ruling_set(w.graph, res.vertices, r=max(r, res.r))
+    assert_ruling_set(w.graph, res.vertices, r=r)
     return {
         "rounds": int(res.rounds),
         "ruling rounds only": int(res.metadata["ruling_rounds"]),

@@ -61,7 +61,10 @@ def _verify_cell(graph, algorithm: str, params: Mapping[str, Any],
     goes straight from the artifacts (the actual coloring / ruling set) to
     the graph, through the verify subpackage — the validators are first-class
     artifacts of the reproduction, and the corpus sweep exercises them on
-    every real-graph output.
+    every real-graph output.  Each property is checked once and the verdict
+    reuses what its check measured: the returned max defect gives ``proper``,
+    as does the orientation check (oriented edges are exactly the
+    monochromatic ones), and the properness check counts the colors it bounds.
     """
     from repro import verify
     from repro.api.registry import get_algorithm
@@ -93,18 +96,17 @@ def _verify_cell(graph, algorithm: str, params: Mapping[str, Any],
             beta = int(param_value("beta", 1))
             oriented = set(map(tuple, artifacts["_orientation"].tolist()))
             verify.assert_outdegree_orientation(graph, colors, oriented, beta)
-            fields["proper"] = bool(verify.max_defect(graph, colors) == 0)
+            fields["proper"] = not oriented
+            used = verify.count_colors(graph, colors)
         elif d > 0:
-            verify.assert_defective_coloring(graph, colors, d)
-            fields["proper"] = bool(verify.max_defect(graph, colors) == 0)
+            fields["proper"] = verify.assert_defective_coloring(graph, colors, d) == 0
+            used = verify.count_colors(graph, colors)
         else:
-            verify.assert_proper_coloring(graph, colors)
+            bound = delta + 1 if algorithm == "delta_plus_one" else None
+            used = verify.assert_proper_coloring(graph, colors, max_colors=bound)
             fields["proper"] = True
-        fields["colors verified"] = int(verify.count_colors(graph, colors))
-        if algorithm == "delta_plus_one":
-            verify.assert_proper_coloring(graph, colors, max_colors=delta + 1)
-    if "colors verified" in fields:
-        fields["within delta plus one"] = fields["colors verified"] <= delta + 1
+        fields["colors verified"] = used
+        fields["within delta plus one"] = used <= delta + 1
     fields["verified"] = True
     return fields
 

@@ -1,4 +1,4 @@
-"""Proper and defective coloring verification."""
+"""Proper and defective coloring verification, each one :meth:`Graph.same_color` pass."""
 
 from __future__ import annotations
 
@@ -11,6 +11,7 @@ __all__ = [
     "is_proper_coloring",
     "assert_proper_coloring",
     "count_colors",
+    "num_distinct",
     "color_classes",
     "defect_vector",
     "max_defect",
@@ -33,38 +34,45 @@ def _as_colors(graph: Graph, colors) -> np.ndarray:
 
 def is_proper_coloring(graph: Graph, colors) -> bool:
     """True iff no edge is monochromatic."""
-    arr = _as_colors(graph, colors)
-    edges = graph.edge_array()
-    if edges.size == 0:
-        return True
-    return not bool(np.any(arr[edges[:, 0]] == arr[edges[:, 1]]))
+    return not graph.same_color(_as_colors(graph, colors)).any()
 
 
-def assert_proper_coloring(graph: Graph, colors, max_colors: int | None = None) -> None:
-    """Raise :class:`VerificationError` unless ``colors`` is proper (and within ``max_colors``)."""
+def assert_proper_coloring(graph: Graph, colors, max_colors: int | None = None) -> int:
+    """Raise :class:`VerificationError` unless ``colors`` is proper (and within
+    ``max_colors``); return the number of colors used."""
     arr = _as_colors(graph, colors)
-    edges = graph.edge_array()
-    if edges.size:
-        same = arr[edges[:, 0]] == arr[edges[:, 1]]
-        if np.any(same):
-            u, v = edges[np.argmax(same)]
-            raise VerificationError(
-                f"edge ({int(u)}, {int(v)}) is monochromatic with color {arr[u]!r}"
-            )
-    if max_colors is not None and count_colors(graph, arr) > max_colors:
+    same = graph.same_color(arr)
+    if same.any():
+        i = int(np.argmax(same))
+        u, v = graph.src_index[i], graph.indices[i]
         raise VerificationError(
-            f"coloring uses {count_colors(graph, arr)} colors, allowed at most {max_colors}"
+            f"edge ({int(u)}, {int(v)}) is monochromatic with color {arr[u]!r}"
         )
+    return _checked_count(arr, max_colors)
 
 
-def count_colors(graph: Graph, colors) -> int:
-    """Number of distinct colors used."""
-    arr = _as_colors(graph, colors)
+def _checked_count(arr: np.ndarray, max_colors: int | None) -> int:
+    used = num_distinct(arr)
+    if max_colors is not None and used > max_colors:
+        raise VerificationError(
+            f"coloring uses {used} colors, allowed at most {max_colors}"
+        )
+    return used
+
+
+def num_distinct(values) -> int:
+    """Number of distinct values in a 1-D array (tuple colors as ``object``)."""
+    arr = np.asarray(values)
     if arr.size == 0:
         return 0
     if arr.dtype == object:
         return len(set(arr.tolist()))
     return int(np.unique(arr).size)
+
+
+def count_colors(graph: Graph, colors) -> int:
+    """Number of distinct colors used."""
+    return num_distinct(_as_colors(graph, colors))
 
 
 def color_classes(graph: Graph, colors) -> dict:
@@ -79,16 +87,8 @@ def color_classes(graph: Graph, colors) -> dict:
 
 def defect_vector(graph: Graph, colors) -> np.ndarray:
     """Per-vertex defect: number of neighbors sharing the vertex's color."""
-    arr = _as_colors(graph, colors)
-    defect = np.zeros(graph.n, dtype=np.int64)
-    edges = graph.edge_array()
-    if edges.size:
-        same = arr[edges[:, 0]] == arr[edges[:, 1]]
-        mono = edges[same]
-        if mono.size:
-            np.add.at(defect, mono[:, 0], 1)
-            np.add.at(defect, mono[:, 1], 1)
-    return defect
+    same = graph.same_color(_as_colors(graph, colors))
+    return np.bincount(graph.src_index[same], minlength=graph.n).astype(np.int64, copy=False)
 
 
 def max_defect(graph: Graph, colors) -> int:
@@ -99,15 +99,16 @@ def max_defect(graph: Graph, colors) -> int:
 
 def assert_defective_coloring(
     graph: Graph, colors, d: int, max_colors: int | None = None
-) -> None:
-    """Raise unless the coloring is ``d``-defective (every defect ``<= d``) and within ``max_colors``."""
+) -> int:
+    """Raise unless the coloring is ``d``-defective (every defect ``<= d``) and
+    within ``max_colors``; return the measured max defect (0 if proper)."""
     vec = defect_vector(graph, colors)
-    if vec.size and int(vec.max()) > d:
+    worst = int(vec.max()) if vec.size else 0
+    if worst > d:
         v = int(np.argmax(vec))
         raise VerificationError(
-            f"vertex {v} has defect {int(vec[v])}, exceeding the allowed defect {d}"
+            f"vertex {v} has defect {worst}, exceeding the allowed defect {d}"
         )
-    if max_colors is not None and count_colors(graph, colors) > max_colors:
-        raise VerificationError(
-            f"coloring uses {count_colors(graph, colors)} colors, allowed at most {max_colors}"
-        )
+    if max_colors is not None:
+        _checked_count(np.asarray(colors), max_colors)
+    return worst

@@ -23,12 +23,8 @@ __all__ = [
 
 def monochromatic_edges(graph: Graph, colors) -> np.ndarray:
     """All edges ``(u, v)`` (``u < v``) whose endpoints share a color."""
-    arr = _as_colors(graph, colors)
-    edges = graph.edge_array()
-    if edges.size == 0:
-        return np.empty((0, 2), dtype=np.int64)
-    same = arr[edges[:, 0]] == arr[edges[:, 1]]
-    return edges[same]
+    keep = graph.same_color(_as_colors(graph, colors)) & (graph.src_index < graph.indices)
+    return np.stack([graph.src_index[keep], graph.indices[keep]], axis=1)
 
 
 def orientation_outdegrees(graph: Graph, orientation: set[tuple[int, int]]) -> np.ndarray:

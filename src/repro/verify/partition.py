@@ -57,18 +57,9 @@ def assert_partition_degree_bound(
             raise VerificationError(
                 f"partition uses {used} parts, allowed at most {max_parts}"
             )
-    edges = graph.edge_array()
-    if edges.size == 0:
-        return
-    same_color = arr[edges[:, 0]] == arr[edges[:, 1]]
-    same_part = parts[edges[:, 0]] == parts[edges[:, 1]]
-    both = edges[same_color & same_part]
-    if both.size == 0:
-        return
-    degree_within = np.zeros(graph.n, dtype=np.int64)
-    np.add.at(degree_within, both[:, 0], 1)
-    np.add.at(degree_within, both[:, 1], 1)
-    if int(degree_within.max()) > d:
+    both = graph.same_color(arr) & graph.same_color(parts)
+    degree_within = np.bincount(graph.src_index[both], minlength=graph.n)
+    if degree_within.size and int(degree_within.max()) > d:
         v = int(np.argmax(degree_within))
         raise VerificationError(
             f"vertex {v} has {int(degree_within[v])} same-color same-part neighbors, "

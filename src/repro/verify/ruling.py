@@ -18,45 +18,43 @@ from repro.verify.coloring import VerificationError
 __all__ = ["is_independent_set", "domination_radius", "assert_ruling_set"]
 
 
+def _members(graph: Graph, vertices: Iterable[int]) -> np.ndarray:
+    """Membership mask of ``vertices``; an out-of-range vertex raises."""
+    idx = np.fromiter(vertices, dtype=np.int64)
+    bad = (idx < 0) | (idx >= graph.n)
+    if bad.any():
+        raise VerificationError(f"ruling-set vertex {int(idx[np.argmax(bad)])} out of range")
+    mask = np.zeros(graph.n, dtype=bool)
+    mask[idx] = True
+    return mask
+
+
 def is_independent_set(graph: Graph, vertices: Iterable[int]) -> bool:
-    """True iff no two vertices of the set are adjacent."""
-    chosen = set(int(v) for v in vertices)
-    for v in chosen:
-        for u in graph.neighbors(v):
-            if int(u) in chosen:
-                return False
-    return True
+    """True iff no two vertices of the set are adjacent (one mask over the CSR)."""
+    chosen = _members(graph, vertices)
+    return not (chosen[graph.src_index] & chosen[graph.indices]).any()
 
 
 def domination_radius(graph: Graph, vertices: Iterable[int]) -> int:
     """Smallest ``r`` such that every vertex is within distance ``r`` of the set.
 
     Returns ``-1`` if some vertex cannot reach the set at all (or the set is
-    empty while the graph is not).
+    empty while the graph is not).  A multi-source BFS from the whole set,
+    one frontier of CSR ranges per level.
     """
-    chosen = sorted(set(int(v) for v in vertices))
     if graph.n == 0:
         return 0
-    if not chosen:
-        return -1
-    # Multi-source BFS from the whole set.
-    dist = -np.ones(graph.n, dtype=np.int64)
-    frontier = list(chosen)
-    for v in frontier:
-        dist[v] = 0
-    level = 0
-    while frontier:
+    reached = _members(graph, vertices)
+    frontier = np.flatnonzero(reached)
+    level = -1
+    while frontier.size:
         level += 1
-        nxt = []
-        for u in frontier:
-            for w in graph.neighbors(u):
-                if dist[w] < 0:
-                    dist[w] = level
-                    nxt.append(int(w))
-        frontier = nxt
-    if np.any(dist < 0):
-        return -1
-    return int(dist.max())
+        positions, _ = graph.incident_csr_entries(frontier)
+        nbrs = graph.indices[positions]
+        nbrs = nbrs[~reached[nbrs]]
+        reached[nbrs] = True
+        frontier = np.unique(nbrs)
+    return level if reached.all() else -1
 
 
 def assert_ruling_set(
@@ -70,13 +68,11 @@ def assert_ruling_set(
     Raises
     ------
     VerificationError
-        If the set is not independent in ``G^(alpha - 1)`` or some vertex is
-        farther than ``r`` hops from the set.
+        If a vertex is out of range, the set is not independent in
+        ``G^(alpha - 1)`` or some vertex is farther than ``r`` hops from the
+        set.
     """
-    chosen = sorted(set(int(v) for v in vertices))
-    for v in chosen:
-        if not (0 <= v < graph.n):
-            raise VerificationError(f"ruling-set vertex {v} out of range")
+    chosen = np.flatnonzero(_members(graph, vertices))
     base = graph if alpha == 2 else graph.power_graph(alpha - 1)
     if not is_independent_set(base, chosen):
         raise VerificationError(

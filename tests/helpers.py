@@ -17,6 +17,7 @@ from repro.engine.array import ArrayEngine
 from repro.engine.registry import register_engine
 
 __all__ = [
+    "edge_case_graphs",
     "make_input_coloring",
     "graph_fingerprint",
     "BrokenArrayEngine",
@@ -25,6 +26,17 @@ __all__ = [
     "shared_graph_probe_task",
     "failing_task",
 ]
+
+
+def edge_case_graphs() -> list[tuple[str, Graph]]:
+    """Degenerate graphs every array kernel and check must handle."""
+    return [
+        ("empty", Graph(0)),
+        ("edgeless", Graph(7)),  # isolated vertices only
+        ("single edge + isolated", Graph(5, [(0, 3)])),
+        ("perfect matching (Delta=1)", Graph(6, [(0, 1), (2, 3), (4, 5)])),
+        ("star + isolated", Graph(8, [(0, i) for i in range(1, 6)])),
+    ]
 
 
 def make_input_coloring(

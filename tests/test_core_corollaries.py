@@ -143,13 +143,27 @@ class TestDefectiveColorings:
 
 
 class TestRegisteredRunnerGuarantees:
-    def test_defect_bound_is_enforced_not_just_recorded(self):
+    def test_defect_bound_is_enforced_not_just_recorded(self, monkeypatch):
         # the registered runners' guarantee strings promise a *hard* invariant;
         # a violating coloring must raise, not ship as a record.
-        from repro.core.corollaries import _checked_defect
+        from types import SimpleNamespace
+
+        from repro.core.results import ColoringResult
 
         ring = generators.ring(6)
         monochrome = np.zeros(ring.n, dtype=np.int64)  # defect 2 on a ring
-        with pytest.raises(AssertionError, match="max defect"):
-            _checked_defect(ring, monochrome, 1)
-        assert _checked_defect(ring, monochrome, 2) == 2
+        with pytest.raises(AssertionError, match="defect 2"):
+            assert_defective_coloring(ring, monochrome, 1)
+        assert assert_defective_coloring(ring, monochrome, 2) == 2
+
+        # both runners record the max defect that check returns
+        def monochrome_result(*args, **kwargs):
+            return ColoringResult(colors=monochrome, rounds=1, color_space_size=1)
+
+        monkeypatch.setattr(corollaries, "defective_coloring", monochrome_result)
+        monkeypatch.setattr(corollaries, "defective_coloring_one_round", monochrome_result)
+        w = SimpleNamespace(graph=ring, input_colors=None, m=ring.n)
+        for runner in (corollaries._run_defective, corollaries._run_defective_one_round):
+            assert runner(w, None, d=2)["max defect"] == 2
+            with pytest.raises(AssertionError, match="defect 2"):
+                runner(w, None, d=1)

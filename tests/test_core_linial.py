@@ -76,6 +76,35 @@ class TestLinialColoring:
         res = linial_coloring(g, ids=ids, backend="array")
         assert_proper_coloring(g, res.colors)
 
+    @pytest.mark.parametrize("reduces", [False, True], ids=["no-step", "with-step"])
+    @pytest.mark.parametrize("bad,match", [
+        ("too large", "must lie in"), ("negative", "must lie in"), ("duplicate", "unique"),
+    ])
+    def test_bad_ids_rejected_at_entry(self, monkeypatch, bad, match, reduces):
+        # The range check on the sorted IDs runs whether or not a reduction
+        # step follows: an ID space at or below the target used to return
+        # out-of-space or negative IDs as the coloring unchecked.
+        import repro.core.linial as linial
+
+        g = generators.path(2)
+        space = 10**6 if reduces else 2  # 256 * Delta^2 = 256 on a path
+        ids = {"too large": [0, space + 3], "negative": [-3, 1], "duplicate": [1, 1]}[bad]
+
+        def reached(*args, **kwargs):
+            raise AssertionError("bad IDs reached the reduction")
+
+        monkeypatch.setattr(linial, "iterated_color_reduction", reached)
+        with pytest.raises(ValueError, match=match):
+            linial_coloring(g, ids=np.array(ids), id_space=space)
+
+    def test_ids_in_range_reach_the_reduction(self):
+        g = generators.path(2)
+        res = linial_coloring(g, ids=np.array([1, 0]), id_space=2)
+        assert res.colors.tolist() == [1, 0] and res.color_space_size == 2
+        res = linial_coloring(g, ids=np.array([10**6 - 1, 0]), id_space=10**6)
+        assert res.rounds >= 1
+        assert_proper_coloring(g, res.colors)
+
     def test_custom_target(self):
         g = generators.random_regular(100, 4, seed=4)
         res = linial_coloring(g, seed=4, target_colors=10_000)

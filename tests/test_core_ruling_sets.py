@@ -28,6 +28,18 @@ class TestRulingSetFromColoring:
             res = ruling_sets.ruling_set_from_coloring(g, colors, num_colors, base=base)
             assert res.rounds == base * res.metadata["phases"]
 
+    @pytest.mark.parametrize("num_colors,base,phases", [
+        (125, 5, 3), (216, 6, 3), (15625, 5, 6), (46656, 6, 6),
+        (126, 5, 4), (124, 5, 3), (2, 2, 1), (3, 3, 1),
+    ])
+    def test_phase_count_is_exact_at_powers_of_the_base(self, num_colors, base, phases):
+        # t = ceil(log_B C) in integers; floating-point logs put 125 = 5^3 at
+        # 4 phases (r = 4, 20 rounds for a (2, 3)-ruling set found in 15).
+        g = generators.path(3)
+        res = ruling_sets.ruling_set_from_coloring(g, np.array([0, 1, 0]), num_colors, base)
+        assert (res.r, res.rounds) == (phases, base * phases)
+        assert_ruling_set(g, res.vertices, r=phases)
+
     def test_larger_base_fewer_phases(self):
         g = generators.random_regular(100, 8, seed=3)
         colors, m = make_input_coloring(g, m=g.n, seed=3)
@@ -110,3 +122,23 @@ class TestTheorem15AndBaseline:
         ours = ruling_sets.ruling_set_theorem15(g, colors, m, r=2, backend="array")
         base = ruling_sets.ruling_set_sew13_baseline(g, colors, m, r=2, backend="array")
         assert ours.metadata["ruling_rounds"] < base.metadata["ruling_rounds"]
+
+    @pytest.mark.parametrize("baseline", [False, True])
+    def test_registered_runner_verifies_the_requested_r(self, monkeypatch, baseline):
+        from types import SimpleNamespace
+
+        import repro.verify.ruling as ruling_mod
+
+        checked = []
+        real = ruling_mod.assert_ruling_set
+
+        def recording(graph, vertices, r, alpha=2):
+            checked.append(r)
+            real(graph, vertices, r, alpha)
+
+        monkeypatch.setattr(ruling_mod, "assert_ruling_set", recording)
+        g = generators.random_regular(80, 6, seed=2)
+        colors, m = make_input_coloring(g, seed=2)
+        w = SimpleNamespace(graph=g, input_colors=colors, m=m)
+        ruling_sets._run_ruling_set(w, "array", r=3, baseline=baseline)
+        assert checked == [3]

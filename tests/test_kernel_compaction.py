@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import make_input_coloring
+from helpers import edge_case_graphs, make_input_coloring
 from repro.congest import generators
 from repro.congest.graph import Graph
 from repro.congest.ids import InputColoringError
@@ -31,16 +31,6 @@ from repro.core.vectorized import (
 )
 from repro.engine import get_engine
 from repro.verify.coloring import assert_proper_coloring
-
-
-def edge_case_graphs() -> list[tuple[str, Graph]]:
-    return [
-        ("empty", Graph(0)),
-        ("edgeless", Graph(7)),  # isolated vertices only
-        ("single edge + isolated", Graph(5, [(0, 3)])),
-        ("perfect matching (Delta=1)", Graph(6, [(0, 1), (2, 3), (4, 5)])),
-        ("star + isolated", Graph(8, [(0, i) for i in range(1, 6)])),
-    ]
 
 
 def assert_mother_parity(graph: Graph, colors: np.ndarray, m: int, d: int = 0, k: int = 1):
@@ -252,30 +242,37 @@ class TestValidationHoisting:
         assert a.rounds == b.rounds
 
     def test_delta_plus_one_validates_exactly_once(self, monkeypatch):
-        import repro.congest.ids as ids_mod
+        # The one validation is linial_coloring's uniqueness-and-range check
+        # on the IDs (distinct IDs are a proper coloring of any graph); no
+        # stage runs an O(|E|) scan of the input or of an interior coloring.
         import repro.core.algorithm1 as alg_mod
         import repro.core.linial as lin_mod
         import repro.core.pipelines as pip_mod
         import repro.core.vectorized as vec_mod
 
-        real = ids_mod.validate_proper_coloring
-        calls = []
+        scans = []
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
+        def counting(owner, name):
+            real = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                scans.append(name)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
 
         for mod in (alg_mod, lin_mod, pip_mod, vec_mod):
-            monkeypatch.setattr(mod, "validate_proper_coloring", counting)
+            counting(mod, "validate_proper_coloring")
+        counting(Graph, "same_color")
+        counting(Graph, "edge_array")
 
-        # Large enough that Linial actually iterates (id space n^2 > 256 Delta^2);
-        # with no reduction step the entry check is skipped too (IDs are
-        # uniqueness-checked instead) and the count would be 0.
+        # Large enough that Linial actually iterates (id space n^2 > 256 Delta^2).
         g = generators.random_regular(200, 4, seed=5)
         res = pipelines.delta_plus_one_coloring(g, seed=5, backend="array")
+        assert scans == []
+        assert res.metadata["linial_rounds"] >= 1
+        monkeypatch.undo()
         assert_proper_coloring(g, res.colors, max_colors=g.max_degree + 1)
-        # Once at the Linial entry; every interior mother call skips it.
-        assert len(calls) == 1
 
 
 class TestCompactedPipelineParityOnDegenerateGraphs:
