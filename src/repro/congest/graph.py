@@ -446,11 +446,19 @@ class Graph:
 
         The one same-color scan behind every coloring check.  Each edge appears
         twice, so ``bincount(src_index[mask], minlength=n)`` is the defect
-        vector, ``mask & (src_index < indices)`` picks each monochromatic edge
-        once, and the first ``True`` entry is the lexicographically first one.
+        vector; :meth:`same_color_edges` lists each monochromatic edge once.
         """
         colors = np.asarray(colors)
         return colors[self.src_index] == colors[self._indices]
+
+    def same_color_edges(self, colors) -> tuple[np.ndarray, np.ndarray]:
+        """The monochromatic edges as arrays ``(u, v)`` with ``u < v``, in
+        lexicographic order (the CSR order), so ``(u[0], v[0])`` is the first."""
+        same = self.same_color(colors)
+        if not same.any():
+            return self.src_index[:0], self._indices[:0]
+        keep = same & (self.src_index < self._indices)
+        return self.src_index[keep], self._indices[keep]
 
     def incident_csr_entries(self, vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Gather the CSR entry positions incident to ``vertices`` (frontier compaction).

@@ -163,11 +163,9 @@ def validate_proper_coloring(graph: Graph, colors: np.ndarray, m: int | None = N
         raise InputColoringError(
             f"color {int(colors.max())} out of range for declared m={m}"
         )
-    same = graph.same_color(colors)
-    if same.any():
-        i = int(np.argmax(same))
-        u, v = graph.src_index[i], graph.indices[i]
+    u, v = graph.same_color_edges(colors)
+    if u.size:
         raise InputColoringError(
-            f"not a proper coloring: edge ({int(u)}, {int(v)}) is monochromatic "
-            f"with color {int(colors[u])}"
+            f"not a proper coloring: edge ({int(u[0])}, {int(v[0])}) is monochromatic "
+            f"with color {int(colors[u[0]])}"
         )

@@ -159,8 +159,7 @@ def derive_orientation(
     array operations (via the graph's cached edge-source array), so only the
     final — typically tiny — set of oriented edges is materialised in Python.
     """
-    mono = graph.same_color(colors) & (graph.src_index < graph.indices)
-    u, v = graph.src_index[mono], graph.indices[mono]
+    u, v = graph.same_color_edges(colors)
     from_u = (parts[u] > parts[v]) | ((parts[u] == parts[v]) & (input_colors[u] < input_colors[v]))
     src = np.where(from_u, u, v)
     dst = np.where(from_u, v, u)

@@ -139,10 +139,16 @@ def mis_from_coloring(graph: Graph, colors: np.ndarray, num_colors: int) -> Ruli
 
 
 def _base_for_target_r(num_colors: int, r: int) -> int:
-    """Smallest ``B >= 2`` with ``ceil(log_B C) <= r``."""
-    if num_colors <= 2:
-        return 2
-    return max(2, math.ceil(num_colors ** (1.0 / r)))
+    """Smallest ``B >= 2`` with ``B**r >= C``, i.e. ``ceil(log_B C) <= r``.
+
+    The float root is only a first guess: ``3125 ** (1 / 5)`` lands above 5.
+    """
+    base = max(2, math.ceil(num_colors ** (1.0 / r)))
+    while base > 2 and (base - 1) ** r >= num_colors:
+        base -= 1
+    while base ** r < num_colors:
+        base += 1
+    return base
 
 
 def ruling_set_theorem15(
@@ -172,7 +178,7 @@ def ruling_set_theorem15(
     return RulingSetResult(
         vertices=ruling.vertices,
         rounds=total_rounds,
-        r=max(r, ruling.r),
+        r=r,
         alpha=2,
         metadata={
             "method": "theorem15",
@@ -211,7 +217,7 @@ def ruling_set_sew13_baseline(
     return RulingSetResult(
         vertices=ruling.vertices,
         rounds=coloring.rounds + ruling.rounds,
-        r=max(r, ruling.r),
+        r=r,
         alpha=2,
         metadata={
             "method": "sew13_baseline",

@@ -11,7 +11,6 @@ __all__ = [
     "is_proper_coloring",
     "assert_proper_coloring",
     "count_colors",
-    "num_distinct",
     "color_classes",
     "defect_vector",
     "max_defect",
@@ -41,12 +40,10 @@ def assert_proper_coloring(graph: Graph, colors, max_colors: int | None = None) 
     """Raise :class:`VerificationError` unless ``colors`` is proper (and within
     ``max_colors``); return the number of colors used."""
     arr = _as_colors(graph, colors)
-    same = graph.same_color(arr)
-    if same.any():
-        i = int(np.argmax(same))
-        u, v = graph.src_index[i], graph.indices[i]
+    u, v = graph.same_color_edges(arr)
+    if u.size:
         raise VerificationError(
-            f"edge ({int(u)}, {int(v)}) is monochromatic with color {arr[u]!r}"
+            f"edge ({int(u[0])}, {int(v[0])}) is monochromatic with color {arr[u[0]]!r}"
         )
     return _checked_count(arr, max_colors)
 

@@ -23,8 +23,7 @@ __all__ = [
 
 def monochromatic_edges(graph: Graph, colors) -> np.ndarray:
     """All edges ``(u, v)`` (``u < v``) whose endpoints share a color."""
-    keep = graph.same_color(_as_colors(graph, colors)) & (graph.src_index < graph.indices)
-    return np.stack([graph.src_index[keep], graph.indices[keep]], axis=1)
+    return np.stack(graph.same_color_edges(_as_colors(graph, colors)), axis=1)
 
 
 def orientation_outdegrees(graph: Graph, orientation: set[tuple[int, int]]) -> np.ndarray:

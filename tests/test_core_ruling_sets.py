@@ -40,6 +40,25 @@ class TestRulingSetFromColoring:
         assert (res.r, res.rounds) == (phases, base * phases)
         assert_ruling_set(g, res.vertices, r=phases)
 
+    @pytest.mark.parametrize("num_colors,r,base", [
+        (3125, 5, 5), (7776, 5, 6), (100000, 5, 10), (125, 3, 5), (126, 3, 6),
+        (2, 2, 2), (5, 2, 3),
+    ])
+    def test_base_for_target_r_is_exact_at_powers(self, num_colors, r, base):
+        # Smallest B >= 2 with B**r >= C, in integers; the float root gives
+        # 3125 ** (1/5) > 5 and so B = 6, one more round per phase.
+        assert ruling_sets._base_for_target_r(num_colors, r) == base
+        g = generators.path(3)
+        res = ruling_sets.ruling_set_from_coloring(g, np.array([0, 1, 0]), num_colors, base)
+        assert res.r <= r and res.rounds == base * res.r
+
+    def test_base_for_target_r_is_smallest_over_a_sweep(self):
+        for r in range(2, 7):
+            for num_colors in range(1, 5000):
+                b = ruling_sets._base_for_target_r(num_colors, r)
+                assert b ** r >= num_colors
+                assert b == 2 or (b - 1) ** r < num_colors
+
     def test_larger_base_fewer_phases(self):
         g = generators.random_regular(100, 8, seed=3)
         colors, m = make_input_coloring(g, m=g.n, seed=3)

@@ -241,7 +241,7 @@ class TestValidationHoisting:
         assert np.array_equal(a.colors, b.colors)
         assert a.rounds == b.rounds
 
-    def test_delta_plus_one_validates_exactly_once(self, monkeypatch):
+    def test_delta_plus_one_runs_no_edge_scan(self, monkeypatch):
         # The one validation is linial_coloring's uniqueness-and-range check
         # on the IDs (distinct IDs are a proper coloring of any graph); no
         # stage runs an O(|E|) scan of the input or of an interior coloring.
