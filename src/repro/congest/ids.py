@@ -26,6 +26,7 @@ __all__ = [
     "random_proper_coloring",
     "distinct_input_coloring",
     "delta4_input_coloring",
+    "validate_color_range",
     "validate_proper_coloring",
     "InputColoringError",
 ]
@@ -150,8 +151,9 @@ def delta4_input_coloring(graph: Graph, seed: int = 0) -> tuple[np.ndarray, int]
     return random_proper_coloring(graph, num_colors=m, seed=seed)
 
 
-def validate_proper_coloring(graph: Graph, colors: np.ndarray, m: int | None = None) -> None:
-    """Raise :class:`InputColoringError` unless ``colors`` is a proper coloring in ``[m]``."""
+def validate_color_range(graph: Graph, colors: np.ndarray, m: int | None = None) -> None:
+    """Raise :class:`InputColoringError` unless ``colors`` has one value per
+    vertex, all in ``[0, m)`` (``m=None``: only non-negative).  ``O(n)``."""
     colors = np.asarray(colors)
     if colors.shape != (graph.n,):
         raise InputColoringError(
@@ -163,6 +165,12 @@ def validate_proper_coloring(graph: Graph, colors: np.ndarray, m: int | None = N
         raise InputColoringError(
             f"color {int(colors.max())} out of range for declared m={m}"
         )
+
+
+def validate_proper_coloring(graph: Graph, colors: np.ndarray, m: int | None = None) -> None:
+    """Raise :class:`InputColoringError` unless ``colors`` is a proper coloring in ``[m]``."""
+    colors = np.asarray(colors)
+    validate_color_range(graph, colors, m)
     u, v = graph.same_color_edges(colors)
     if u.size:
         raise InputColoringError(

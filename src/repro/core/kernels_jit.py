@@ -4,9 +4,13 @@ The three hot primitives of the engine contract — the mother algorithm's
 trial-color conflict counting, color-class removal, and the Kuhn–Wattenhofer
 round — are expressed here as *per-vertex fused loops* over the CSR triplet
 (``indptr``/``indices``/``src_index``-free: each vertex walks its own CSR
-range directly).  Unlike the NumPy twin (:mod:`repro.core.vectorized`,
-:mod:`repro.core.reduce`), which materialises ``(active_edges x trials)``
-intermediates and scatter-adds them with ``bincount``, a compiled kernel
+range directly).  A kernel is only the per-round step: the one CSR driver of
+each primitive (:func:`repro.core.vectorized.run_mother_algorithm_vectorized`
+and the reductions in :mod:`repro.core.reduce`) owns everything around it and
+takes a :class:`KernelProvider` as ``kernels=``; ``kernels=None`` runs the
+driver's NumPy step.  Unlike that NumPy step, which materialises
+``(active_edges x trials)`` intermediates and scatter-adds them with
+``bincount``, a compiled kernel
 
 * evaluates each trial polynomial on the fly from the vertex's input color,
   with no ``(n, f + 1)`` digit table (exact modular integer arithmetic —
@@ -23,8 +27,9 @@ tier wraps them verbatim with ``@njit(cache=True, parallel=True,
 nogil=True)`` so ``prange`` fans the per-vertex loop across threads.  When
 numba is not installed, a hand-written C translation of the same loops
 (:mod:`repro.core.kernels_cc`) is compiled once with the system C compiler
-and loaded via :mod:`ctypes`; when neither tier is available the ``jit``
-backend degrades to the array backend (see :mod:`repro.engine.jit`).
+and loaded via :mod:`ctypes`.  :class:`repro.engine.jit.JitEngine` is the
+one caller of :func:`get_provider`; when neither tier is available it hands
+``kernels=None`` to the drivers, i.e. runs the array backend.
 
 Determinism under threads is by construction, not by locking: iteration
 ``r`` of every parallel loop writes only slot ``r`` of its output (mother
@@ -45,16 +50,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable
-
-import numpy as np
-
-from repro.core.workspace import Workspace
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.congest.graph import Graph
-    from repro.core.params import MotherParameters
-    from repro.core.results import ColoringResult
+from typing import Any, Callable
 
 try:  # numba's parallel range when compiled; plain range in the python tier
     from numba import prange  # pragma: no cover - only importable with numba
@@ -67,7 +63,6 @@ __all__ = [
     "reset_provider_cache",
     "python_provider",
     "requested_thread_cap",
-    "run_mother_jit",
 ]
 
 
@@ -206,7 +201,7 @@ def _kernel_kw_round(verts, indptr, indices, colors, block, target, used):
 
 
 # --------------------------------------------------------------------------- #
-# Providers: numba -> cc -> (None: the engine falls back to the array backend)
+# Providers: numba -> cc -> (None: the drivers run NumPy)
 # --------------------------------------------------------------------------- #
 
 
@@ -287,7 +282,7 @@ def get_provider(refresh: bool = False) -> KernelProvider | None:
     """Resolve (once per process) the best available compiled tier.
 
     Order: numba, then the C extension; ``None`` when neither is available
-    (the ``jit`` engine then degrades to the array backend).  Tiers named in
+    (the ``jit`` engine then runs the drivers on NumPy).  Tiers named in
     ``REPRO_JIT_DISABLE`` (comma-separated: ``numba``, ``cc``) are skipped —
     tests use this to pin a tier or to force the fallback path.
     """
@@ -314,125 +309,3 @@ def reset_provider_cache() -> None:
     """Forget the resolved provider (tests re-resolve under patched env)."""
     global _PROVIDER, _RESOLVED
     _PROVIDER, _RESOLVED = None, False
-
-
-# --------------------------------------------------------------------------- #
-# The mother-algorithm driver (the reductions' drivers live in
-# repro.core.reduce next to their reference/array twins).
-# --------------------------------------------------------------------------- #
-
-
-def run_mother_jit(
-    graph: "Graph",
-    input_colors: np.ndarray,
-    m: int,
-    d: int = 0,
-    k: int = 1,
-    params: "MotherParameters | None" = None,
-    validate_input: bool = True,
-    with_orientation: bool = False,
-    workspace: Workspace | None = None,
-    kernels: KernelProvider | None = None,
-) -> "ColoringResult":
-    """Algorithm 1 on the compiled kernels; same semantics and bit-identical
-    outputs as :func:`repro.core.vectorized.run_mother_algorithm_vectorized`.
-
-    The Python driver keeps the exact batch structure of the array twin —
-    refresh the active-vertex frontier only after adoptions, adopt the first
-    qualifying trial — and delegates the per-batch scan to
-    ``kernels.mother_first``, which evaluates every trial polynomial straight
-    from the int64 input colors (no digit table).  With ``kernels=None`` the
-    process-wide provider is used; if none is available the call
-    transparently runs the array twin.
-    """
-    from repro.congest.ids import validate_proper_coloring
-    from repro.core.algorithm1 import derive_orientation
-    from repro.core.params import MotherParameters
-    from repro.core.results import ColoringResult
-
-    if kernels is None:
-        kernels = get_provider()
-    if kernels is None:
-        from repro.core.vectorized import run_mother_algorithm_vectorized
-
-        return run_mother_algorithm_vectorized(
-            graph, input_colors, m=m, d=d, k=k, params=params,
-            validate_input=validate_input, with_orientation=with_orientation,
-            workspace=workspace,
-        )
-
-    input_colors = np.ascontiguousarray(input_colors, dtype=np.int64)
-    delta = max(1, graph.max_degree)
-    if validate_input:
-        validate_proper_coloring(graph, input_colors, m)
-    if params is None:
-        params = MotherParameters.derive(m=m, delta=delta, d=d, k=k)
-    params.require_int64()
-
-    n = graph.n
-    if n == 0:
-        return ColoringResult(
-            colors=np.empty(0, dtype=np.int64),
-            rounds=0,
-            color_space_size=params.color_space_size,
-            parts=np.empty(0, dtype=np.int64),
-            orientation=set() if with_orientation else None,
-            metadata={"params": params.describe(), "implementation": "jit",
-                      "kernel": kernels.kind},
-        )
-
-    q, k_eff, dd, f1 = params.q, params.k, params.d, params.f + 1
-    ws = workspace if workspace is not None else Workspace()
-    indptr, indices = graph.indptr, graph.indices
-
-    colors = -np.ones(n, dtype=np.int64)
-    parts = np.zeros(n, dtype=np.int64)
-    active = np.ones(n, dtype=bool)
-    rounds = 0
-    act = None
-    refresh = True
-
-    for batch in range(params.num_batches):
-        if refresh:
-            act = np.nonzero(active)[0]
-            if act.size == 0:
-                break
-            refresh = False
-        rounds = batch + 1
-        lo = batch * k_eff
-        hi = min(lo + k_eff, q)
-        first = ws.full("jit_first", act.size, -1)
-        firstval = ws.take("jit_firstval", act.size)
-        kernels.mother_first(act, indptr, indices, input_colors, f1, q, k_eff, dd,
-                             active, colors, lo, hi, first, firstval)
-        adopters = first >= 0
-        if np.any(adopters):
-            verts = act[adopters]
-            xs = first[adopters]
-            colors[verts] = (xs % k_eff) * q + firstval[adopters]
-            parts[verts] = batch + 1
-            active[verts] = False
-            refresh = True
-
-    if active.any():
-        raise RuntimeError(
-            "some nodes exhausted their color sequences — this contradicts Theorem 1.1 "
-            "and indicates invalid parameters or a bug"
-        )
-
-    orientation = (
-        derive_orientation(graph, colors, parts, input_colors) if with_orientation else None
-    )
-    return ColoringResult(
-        colors=colors,
-        rounds=rounds,
-        color_space_size=params.color_space_size,
-        parts=parts,
-        orientation=orientation,
-        metadata={
-            "params": params.describe(),
-            "implementation": "jit",
-            "kernel": kernels.kind,
-            "round_bound": params.round_bound,
-        },
-    )

@@ -20,32 +20,38 @@ round consists of every affected vertex looking at its neighbors' *current*
 colors (one message each, clearly CONGEST) and recoloring simultaneously; the
 returned ``rounds`` is the number of such rounds.
 
-Both reductions are backend-pluggable: ``backend="array"`` runs a
-frontier-compacted CSR implementation with bit-identical colors and round
-counts (the greedy "smallest free color" choice is deterministic, so the two
-paths agree exactly; this is property-tested in ``tests/test_engine_parity.py``
-and ``tests/test_kernel_compaction.py``).  The array paths gather only the
-CSR entries incident to the round's affected vertices
-(:meth:`repro.congest.graph.Graph.incident_csr_entries`), so a round costs
-``O(affected degree)`` instead of a full ``2|E|`` scan — over a whole
-reduction that is ``O(|E|)`` total work rather than ``O(color classes x |E|)``.
+Each reduction has two paths.  ``backend="reference"`` recolors with
+per-vertex Python sets; it is the oracle.  ``"array"`` and ``"jit"`` run the
+reduction's one CSR driver, which gathers only the CSR entries incident to a
+round's affected vertices, so a round costs ``O(affected degree)`` instead of
+a full ``2|E|`` scan — ``O(|E|)`` total work over a whole reduction rather
+than ``O(color classes x |E|)``.  Per round the driver runs one of two steps:
+with ``kernels=None`` the NumPy gather + occupancy scatter
+(:meth:`repro.congest.graph.Graph.incident_csr_entries`), otherwise the
+compiled kernel of :mod:`repro.core.kernels_jit` (``remove_class`` /
+``kw_round``), which fuses the gather and the scan into one pass per affected
+vertex.  The greedy "smallest free color" choice is deterministic, so every
+path gives identical colors and round counts (property-tested in
+``tests/test_engine_parity.py``, ``tests/test_kernel_compaction.py`` and
+``tests/test_engine_jit.py``).
 
-``backend="jit"`` keeps the exact same per-round structure but hands each
-round to a compiled kernel (:mod:`repro.core.kernels_jit`: numba or the C
-tier) that fuses the gather + occupancy scan into one pass per affected
-vertex; when no compiled tier is available it silently runs the array path
-(same results).  The optional ``kernels=`` parameter overrides the
-process-wide kernel provider — the jit engine threads its own provider
-through, and tests inject the pure-Python tier.
+``backend="jit"`` without ``kernels=`` takes its provider from the jit engine
+(:class:`repro.engine.jit.JitEngine` is the one place that resolves the
+compiled tier); a ``None`` provider runs the NumPy step.  The result's
+``backend`` metadata names the path that ran: ``"reference"``, ``"array"``
+or ``"jit"``.
+
+Both reductions reject an input coloring of the wrong shape or with a
+negative color (:class:`repro.congest.ids.InputColoringError`, an ``O(n)``
+check); properness itself is the caller's promise.
 """
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
 from repro.congest.graph import Graph
+from repro.congest.ids import validate_color_range
 from repro.core.results import ColoringResult
 from repro.core.workspace import Workspace
 from repro.engine.base import UnknownBackendError
@@ -73,6 +79,33 @@ def _validated_target(graph: Graph, target_colors: int | None) -> int:
     return int(target_colors)
 
 
+def _checked_colors(graph: Graph, colors: np.ndarray, m: int | None = None) -> np.ndarray:
+    """A private int64 copy of ``colors`` after the ``O(n)`` range check."""
+    colors = np.asarray(colors, dtype=np.int64).copy()
+    validate_color_range(graph, colors, m)
+    return colors
+
+
+def _resolve_path(backend, kernels, context: str):
+    """``(path, kernels)`` for a reduction's ``backend=``/``kernels=`` pair.
+
+    ``path`` is ``"reference"``, ``"array"`` (the CSR driver on NumPy,
+    ``kernels is None``) or ``"jit"`` (the CSR driver on ``kernels``).  A
+    ``"jit"`` backend without explicit ``kernels`` uses the jit engine's
+    already-resolved provider.
+    """
+    name = getattr(backend, "name", backend)
+    if name not in _REDUCTION_BACKENDS:
+        raise UnknownBackendError(name, _REDUCTION_BACKENDS, context=context)
+    if name == "reference":
+        return name, None
+    if name == "jit" and kernels is None:
+        from repro.engine.registry import get_engine
+
+        kernels = getattr(get_engine(backend), "kernels", None)
+    return ("array" if kernels is None else "jit"), kernels
+
+
 def _remove_color_class_reference(
     graph: Graph, colors: np.ndarray, target_colors: int
 ) -> tuple[np.ndarray, int]:
@@ -90,58 +123,25 @@ def _remove_color_class_reference(
     return colors, rounds
 
 
-def _remove_color_class_array(
-    graph: Graph, colors: np.ndarray, target_colors: int
+def _remove_color_class_csr(
+    graph: Graph, colors: np.ndarray, target_colors: int, kernels
 ) -> tuple[np.ndarray, int]:
-    """Compacted CSR implementation of the same reduction (identical colors and rounds).
+    """The CSR driver of the same reduction (identical colors and rounds).
 
     Vertices are bucketed by color *once* (one stable argsort); colors at or
     above the target are then processed in strictly decreasing order, and
     since every recolored vertex lands *below* the target (a free column
     exists because degree ``<= Delta < target_colors``), the initial buckets
-    are exactly the per-round affected sets.  Per round only the affected
-    vertices' incident CSR entries are gathered and their neighbors'
-    sub-``target`` colors scattered into a dense ``(affected, target)``
-    occupancy table; the first free column is the new color.  Neighbor colors
-    ``>= target_colors`` can never block the scan (the reference scan stops at
-    most at index ``Delta``), so dropping them is exact.  Total work over all
-    rounds is ``O(|E| + n log n)`` instead of ``O(color classes x |E|)``.
-    """
-    rounds = 0
-    if colors.size == 0 or int(colors.max()) < target_colors:
-        return colors, rounds
-    indices = graph.indices
-    ws = Workspace()
-    order = np.argsort(colors, kind="stable")
-    sorted_colors = colors[order]
-    start = int(np.searchsorted(sorted_colors, target_colors, side="left"))
-    high = order[start:]
-    boundaries = np.nonzero(np.diff(sorted_colors[start:]))[0] + 1
-    for vertices in reversed(np.split(high, boundaries)):
-        positions, rows = graph.incident_csr_entries(vertices)
-        nbr_idx = ws.gather("nbr_idx", indices, positions)
-        nbr_colors = ws.gather("nbr_colors", colors, nbr_idx)
-        used = ws.zeros("used", vertices.size * target_colors, dtype=bool)
-        used = used.reshape(vertices.size, target_colors)
-        in_range = nbr_colors < target_colors
-        used[rows[in_range], nbr_colors[in_range]] = True
-        np.logical_not(used, out=used)
-        colors[vertices] = np.argmax(used, axis=1)
-        rounds += 1
-    return colors, rounds
-
-
-def _remove_color_class_jit(
-    graph: Graph, colors: np.ndarray, target_colors: int, kernels
-) -> tuple[np.ndarray, int]:
-    """Compiled-kernel twin of :func:`_remove_color_class_array`.
-
-    Identical bucketing (one stable argsort, classes processed in strictly
-    decreasing color order); each class round is one fused kernel call that
-    walks every affected vertex's CSR range, marks sub-``target`` neighbor
-    colors in its own scratch row and adopts the first free column — the
-    same deterministic choice as the array path's ``argmax``, so colors and
-    round counts are bit-identical.
+    are exactly the per-round affected sets.  Each class then takes its
+    smallest free colors in one step.  The NumPy step gathers the class's
+    incident CSR entries and scatters the neighbors' sub-``target`` colors
+    into a dense ``(class, target)`` occupancy table; the first free column
+    is the new color.  Neighbor colors ``>= target_colors`` can never block
+    the scan (the reference scan stops at most at index ``Delta``), so
+    dropping them is exact.  ``kernels.remove_class`` fuses the same scan
+    into one pass per vertex, with the same ``argmax`` choice.  Total work
+    over all rounds is ``O(|E| + n log n)`` instead of
+    ``O(color classes x |E|)``.
     """
     rounds = 0
     if colors.size == 0 or int(colors.max()) < target_colors:
@@ -154,8 +154,19 @@ def _remove_color_class_jit(
     high = order[start:]
     boundaries = np.nonzero(np.diff(sorted_colors[start:]))[0] + 1
     for vertices in reversed(np.split(high, boundaries)):
-        used = ws.take("used", vertices.size * target_colors, np.uint8)
-        kernels.remove_class(vertices, indptr, indices, colors, target_colors, used)
+        if kernels is None:
+            positions, rows = graph.incident_csr_entries(vertices)
+            nbr_idx = ws.gather("nbr_idx", indices, positions)
+            nbr_colors = ws.gather("nbr_colors", colors, nbr_idx)
+            used = ws.zeros("used", vertices.size * target_colors, dtype=bool)
+            used = used.reshape(vertices.size, target_colors)
+            in_range = nbr_colors < target_colors
+            used[rows[in_range], nbr_colors[in_range]] = True
+            np.logical_not(used, out=used)
+            colors[vertices] = np.argmax(used, axis=1)
+        else:
+            used = ws.take("used", vertices.size * target_colors, np.uint8)
+            kernels.remove_class(vertices, indptr, indices, colors, target_colors, used)
         rounds += 1
     return colors, rounds
 
@@ -179,32 +190,21 @@ def remove_color_class_reduction(
     Rounds: one per color value above ``target_colors`` that actually occurs.
 
     ``backend`` selects the execution path: ``"reference"`` (per-vertex Python
-    sets), ``"array"`` (whole-graph CSR scatter) or ``"jit"`` (compiled
-    kernels; the array path when no compiled tier exists); all produce
+    sets), ``"array"`` (the CSR driver on NumPy) or ``"jit"`` (the CSR driver
+    on the compiled kernels; NumPy when no compiled tier exists); all produce
     identical colors and round counts.  An :class:`repro.engine.base.Engine`
     instance is also accepted (its ``name`` selects the path).  ``kernels``
-    optionally overrides the jit tier's kernel provider.
+    runs the CSR driver on that provider.  Raises
+    :class:`~repro.congest.ids.InputColoringError` for a coloring of the wrong
+    shape or with a negative color.
     """
-    colors = np.asarray(colors, dtype=np.int64).copy()
+    colors = _checked_colors(graph, colors)
     target_colors = _validated_target(graph, target_colors)
-    backend_name = getattr(backend, "name", backend)
-    if backend_name == "jit":
-        if kernels is None:
-            from repro.core.kernels_jit import get_provider
-
-            kernels = get_provider()
-        if kernels is None:
-            colors, rounds = _remove_color_class_array(graph, colors, target_colors)
-        else:
-            colors, rounds = _remove_color_class_jit(graph, colors, target_colors, kernels)
-    elif backend_name == "array":
-        colors, rounds = _remove_color_class_array(graph, colors, target_colors)
-    elif backend_name == "reference":
+    backend_name, kernels = _resolve_path(backend, kernels, "remove_color_class_reduction")
+    if backend_name == "reference":
         colors, rounds = _remove_color_class_reference(graph, colors, target_colors)
     else:
-        raise UnknownBackendError(
-            backend_name, _REDUCTION_BACKENDS, context="remove_color_class_reduction"
-        )
+        colors, rounds = _remove_color_class_csr(graph, colors, target_colors, kernels)
     return ColoringResult(
         colors=colors,
         rounds=rounds,
@@ -218,8 +218,7 @@ def remove_color_class_reduction(
 
 
 def _kw_round_reference(
-    graph: Graph, colors: np.ndarray, affected: np.ndarray, block: int, target_colors: int,
-    ws: Workspace | None = None,
+    graph: Graph, colors: np.ndarray, affected: np.ndarray, block: int, target_colors: int
 ) -> None:
     """One KW round on the reference path: per-vertex Python sets."""
     forbidden = _neighbor_color_sets(graph, colors, affected)
@@ -238,23 +237,26 @@ def _kw_round_reference(
     # independent set, and they avoid neighbors' current colors)
 
 
-def _kw_round_array(
+def _kw_round_csr(
     graph: Graph, colors: np.ndarray, affected: np.ndarray, block: int, target_colors: int,
-    ws: Workspace | None = None,
+    ws: Workspace, kernels,
 ) -> None:
-    """One KW round on the array path: compacted gather + occupancy scatter.
+    """One KW round on the CSR: compacted gather + occupancy scatter.
 
     Only the affected vertices' incident CSR entries are touched.  A neighbor
     color ``b`` bans slot ``b % block`` iff it lies in the same block
     (``b // block`` equal) and in the block's lower ``target_colors`` slots —
     exactly the ``base <= b < base + target_colors`` window of the reference
     path, so the smallest free slot (``argmax`` over the negated occupancy
-    table) is bit-identical.  Scratch (gathered colors, occupancy table)
-    comes from the caller's :class:`Workspace` so successive rounds reuse one
-    set of buffers.
+    table) is bit-identical.  ``kernels.kw_round`` fuses the same scan into
+    one pass per affected vertex.  Scratch comes from the caller's
+    :class:`Workspace` so successive rounds reuse one set of buffers.
     """
-    if ws is None:
-        ws = Workspace()
+    if kernels is not None:
+        used = ws.take("kw_used", affected.size * target_colors, np.uint8)
+        kernels.kw_round(affected, graph.indptr, graph.indices, colors, block,
+                         target_colors, used)
+        return
     positions, rows = graph.incident_csr_entries(affected)
     nbr_idx = ws.gather("nbr_idx", graph.indices, positions)
     nbr_colors = ws.gather("nbr_colors", colors, nbr_idx)
@@ -266,37 +268,6 @@ def _kw_round_array(
     used[rows[banned], slot[banned]] = True
     np.logical_not(used, out=used)
     colors[affected] = block_of * block + np.argmax(used, axis=1)
-
-
-def _kw_round_jit(
-    graph: Graph, colors: np.ndarray, affected: np.ndarray, block: int, target_colors: int,
-    ws: Workspace | None = None, kernels=None,
-) -> None:
-    """One KW round on the compiled kernels (array path when none available).
-
-    The kernel fuses the gather + same-block occupancy scan of
-    :func:`_kw_round_array` into one pass per affected vertex; the smallest
-    free slot within the block's lower ``target_colors`` colors is the same
-    deterministic choice, so colors are bit-identical.
-    """
-    if kernels is None:
-        from repro.core.kernels_jit import get_provider
-
-        kernels = get_provider()
-    if kernels is None:
-        return _kw_round_array(graph, colors, affected, block, target_colors, ws)
-    if ws is None:
-        ws = Workspace()
-    used = ws.take("jit_used", affected.size * target_colors, np.uint8)
-    kernels.kw_round(affected, graph.indptr, graph.indices, colors, block,
-                     target_colors, used)
-
-
-_KW_ROUNDS = {
-    "reference": _kw_round_reference,
-    "array": _kw_round_array,
-    "jit": _kw_round_jit,
-}
 
 
 def kuhn_wattenhofer_reduction(
@@ -319,32 +290,17 @@ def kuhn_wattenhofer_reduction(
     ``O(Delta)``-round algorithms improve upon.
 
     ``backend`` selects the per-round execution path: ``"reference"``
-    (per-vertex Python sets), ``"array"`` (compacted CSR gather + occupancy
-    scatter), or ``"jit"`` (compiled kernels, array path when unavailable);
-    all produce identical colors, round and phase counts.  An
+    (per-vertex Python sets), ``"array"`` (the CSR round on NumPy), or
+    ``"jit"`` (the CSR round on the compiled kernels, NumPy when none is
+    available); all produce identical colors, round and phase counts.  An
     :class:`repro.engine.base.Engine` instance is also accepted (its ``name``
-    selects the path).  ``kernels`` optionally pins the compiled provider used
-    by the ``"jit"`` path (resolved lazily otherwise).
+    selects the path).  ``kernels`` runs the CSR round on that provider.
+    Raises :class:`~repro.congest.ids.InputColoringError` for a coloring of
+    the wrong shape or with a color outside ``[0, m)``.
     """
-    colors = np.asarray(colors, dtype=np.int64).copy()
-    delta = graph.max_degree
-    if target_colors is None:
-        target_colors = delta + 1
-    if target_colors < delta + 1:
-        raise ValueError(
-            f"cannot greedily reduce below Delta + 1 = {delta + 1} colors, requested {target_colors}"
-        )
-    if colors.size and int(colors.max()) >= m:
-        raise ValueError("input coloring uses colors outside the declared space [m]")
-    backend_name = getattr(backend, "name", backend)
-    try:
-        kw_round = _KW_ROUNDS[backend_name]
-    except KeyError:
-        raise UnknownBackendError(
-            backend_name, _REDUCTION_BACKENDS, context="kuhn_wattenhofer_reduction"
-        ) from None
-    if backend_name == "jit" and kernels is not None:
-        kw_round = functools.partial(_kw_round_jit, kernels=kernels)
+    colors = _checked_colors(graph, colors, m)
+    target_colors = _validated_target(graph, target_colors)
+    backend_name, kernels = _resolve_path(backend, kernels, "kuhn_wattenhofer_reduction")
 
     block = 2 * target_colors
     space = int(m)
@@ -364,7 +320,10 @@ def kuhn_wattenhofer_reduction(
             affected = np.nonzero((colors % block) == offset)[0] if colors.size else np.empty(0, int)
             if affected.size == 0:
                 continue
-            kw_round(graph, colors, affected, block, target_colors, ws)
+            if backend_name == "reference":
+                _kw_round_reference(graph, colors, affected, block, target_colors)
+            else:
+                _kw_round_csr(graph, colors, affected, block, target_colors, ws, kernels)
         rounds += phase_rounds
         # Compact the color space: every block keeps only its lower half.
         if colors.size:

@@ -1,10 +1,16 @@
-"""Whole-graph NumPy implementation of Algorithm 1, frontier-compacted.
+"""The whole-graph CSR driver of Algorithm 1, frontier-compacted.
 
 The message-passing implementation in :mod:`repro.core.algorithm1` is the
-faithful model-level artifact; this module is its performance twin.  It runs
-the exact same round structure — per batch count conflicts and let every node
-adopt the first ``d``-proper trial — but each round operates on *compacted*
-arrays covering only the still-active subgraph:
+faithful model-level artifact; this module is its performance twin and the
+one CSR driver of Theorem 1.1 for both the array and the jit backend.  It
+runs the exact same round structure — per batch count conflicts and let every
+node adopt the first ``d``-proper trial.  Only the per-batch scan differs by
+tier: ``kernels=None`` runs the NumPy scan described below, a compiled
+:class:`~repro.core.kernels_jit.KernelProvider` runs its fused
+``mother_first`` loop instead (no digit table, no CSR gathers).
+
+The NumPy scan operates on *compacted* arrays covering only the still-active
+subgraph:
 
 * per batch, only the CSR ranges incident to still-active vertices are
   gathered (:meth:`repro.congest.graph.Graph.incident_csr_entries`); edges
@@ -29,12 +35,14 @@ arrays covering only the still-active subgraph:
   reused across rounds and chunks, so a steady-state round performs no
   scratch allocations proportional to the graph.
 
-The two implementations produce *identical* colors and part indices (this is
-property-tested), so benchmarks can use the vectorized twin on graphs where
+The reference and CSR implementations, on every tier, produce *identical*
+colors and part indices (this is property-tested), so benchmarks can use the vectorized twin on graphs where
 instantiating ``n`` Python node objects would dominate the runtime.
 """
 
 from __future__ import annotations
+
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -44,6 +52,9 @@ from repro.core.algorithm1 import derive_orientation
 from repro.core.params import MotherParameters
 from repro.core.results import ColoringResult
 from repro.core.workspace import Workspace
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.kernels_jit import KernelProvider
 
 __all__ = ["run_mother_algorithm_vectorized", "evaluate_all_sequences"]
 
@@ -87,6 +98,103 @@ def evaluate_all_sequences(input_colors: np.ndarray, params: MotherParameters) -
     return values
 
 
+def _horner_grid(coeffs: np.ndarray, q: int, verts: np.ndarray, xs: np.ndarray,
+                 ws: Workspace) -> np.ndarray:
+    """``p_{c(v)}(x)`` for every ``v`` in ``verts`` and ``x`` in ``xs``.
+
+    Horner in place on a reused workspace accumulator — identical modular
+    arithmetic, zero per-chunk allocation of the accumulator.
+    """
+    acc = ws.zeros("eval_grid", verts.size * xs.size).reshape(verts.size, xs.size)
+    for j in range(coeffs.shape[1] - 1, -1, -1):
+        np.multiply(acc, xs[None, :], out=acc)
+        np.add(acc, coeffs[verts, j][:, None], out=acc)
+        np.mod(acc, q, out=acc)
+    return acc
+
+
+def _horner_at(coeffs: np.ndarray, q: int, verts: np.ndarray, xs: np.ndarray,
+               ws: Workspace) -> np.ndarray:
+    """``p_{c(verts[i])}(xs[i])`` — one position per vertex."""
+    acc = ws.zeros("eval_at", verts.size)
+    for j in range(coeffs.shape[1] - 1, -1, -1):
+        np.multiply(acc, xs, out=acc)
+        np.add(acc, coeffs[verts, j], out=acc)
+        np.mod(acc, q, out=acc)
+    return acc
+
+
+def _first_trials_numpy(
+    act: np.ndarray, rows: np.ndarray, e_dst: np.ndarray, active: np.ndarray,
+    colors: np.ndarray, coeffs: np.ndarray, params: MotherParameters, lo: int, hi: int,
+    ws: Workspace,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The NumPy per-batch scan, the twin of ``KernelProvider.mother_first``.
+
+    ``first[r]`` is the first trial position in ``[lo, hi)`` with at most
+    ``d`` conflicts for ``act[r]``, or ``-1``; ``firstval[r]`` is the trial
+    polynomial's value there (read only where ``first[r] >= 0``).  The trial
+    axis is chunked to bound the temporaries at ~``_CHUNK_CELLS`` edge-trial
+    cells; rows that found their slot are dropped from later chunks (their
+    first slot is already decided).  All per-batch arrays live in the
+    workspace arena.
+    """
+    q, k_eff, dd = params.q, params.k, params.d
+    num_active = act.size
+    dst_active = ws.gather("dst_active", active, e_dst)
+    dst_colors = ws.gather("dst_colors", colors, e_dst)
+    first = ws.full("first", num_active, -1)
+    undone = ws.full("undone", num_active, True, dtype=bool)
+    r_sub, d_sub, a_sub, c_sub = rows, e_dst, dst_active, dst_colors
+    cstart = lo
+    while cstart < hi:
+        w = max(1, min(hi - cstart, _CHUNK_CELLS // max(1, r_sub.size)))
+        xs = np.arange(cstart, cstart + w, dtype=np.int64)
+        # Lazily evaluate exactly the vertices this chunk touches — the
+        # remaining rows' sources and their *active* neighbors (colored
+        # neighbors are compared by final color, no values needed) — at
+        # exactly the chunk's trial positions.
+        src_verts = act[r_sub]
+        need = np.unique(np.concatenate([src_verts, d_sub[a_sub]]))
+        table = _horner_grid(coeffs, q, need, xs, ws)
+        src_vals = table[np.searchsorted(need, src_verts)]
+        nbr_pos = np.searchsorted(need, d_sub)
+        if need.size:
+            np.minimum(nbr_pos, need.size - 1, out=nbr_pos)
+        # A hit is an active neighbor trying the same value, or a colored
+        # neighbor whose final color equals the trial color
+        # (x % k) * q + value  <=>  final - (x % k) * q == value.
+        # (For colored neighbors nbr_pos is a clipped dummy; np.where
+        # discards that branch.)
+        hits = np.where(
+            a_sub[:, None],
+            table[nbr_pos] == src_vals,
+            (c_sub[:, None] - ((xs % k_eff) * q)[None, :]) == src_vals,
+        )
+        # 2-D scatter-add over the compacted edges: conflict counts per
+        # (active row, trial position), via bincount on flattened indices.
+        er, el = np.nonzero(hits)
+        counts = np.bincount(
+            r_sub[er] * w + el, minlength=num_active * w
+        ).reshape(num_active, w)
+        ok = counts <= dd
+        ok[~undone] = False
+        found = ok.any(axis=1)
+        first[found] = cstart + np.argmax(ok[found], axis=1)
+        undone &= ~found
+        cstart += w
+        if cstart >= hi or not undone.any():
+            break
+        keep = undone[r_sub]
+        r_sub, d_sub = r_sub[keep], d_sub[keep]
+        a_sub, c_sub = a_sub[keep], c_sub[keep]
+
+    firstval = ws.take("firstval", num_active)
+    found = first >= 0
+    firstval[found] = _horner_at(coeffs, q, act[found], first[found], ws)
+    return first, firstval
+
+
 def run_mother_algorithm_vectorized(
     graph: Graph,
     input_colors: np.ndarray,
@@ -97,9 +205,22 @@ def run_mother_algorithm_vectorized(
     validate_input: bool = True,
     with_orientation: bool = False,
     workspace: Workspace | None = None,
+    kernels: "KernelProvider | None" = None,
 ) -> ColoringResult:
-    """Vectorized Algorithm 1; same semantics and outputs as
+    """Algorithm 1 on the CSR; same semantics and outputs as
     :func:`repro.core.algorithm1.run_mother_algorithm`.
+
+    The one whole-graph driver of Theorem 1.1, for the array and the jit
+    backend alike: it refreshes the active-vertex frontier only after
+    adoptions and lets every active vertex adopt the first trial of the batch
+    with at most ``d`` conflicts.  ``kernels`` picks the per-batch scan:
+    ``None`` runs the chunked NumPy scan, a
+    :class:`~repro.core.kernels_jit.KernelProvider` its compiled
+    ``mother_first``, which evaluates every trial polynomial straight from
+    the int64 input colors (no digit table, no CSR gathers).  Both pick the
+    same trial, so colors, parts and rounds are bit-identical; the metadata
+    names the path (``implementation`` ``"vectorized"`` or ``"jit"`` plus the
+    ``kernel`` tier).
 
     ``with_orientation`` defaults to False here because the orientation
     derivation is an extra ``O(num_edges)`` Python pass that benchmarks on
@@ -110,13 +231,18 @@ def run_mother_algorithm_vectorized(
     leave ``None`` for a private per-call arena.  Buffer reuse changes the
     allocation pattern only — outputs are bit-identical either way.
     """
-    input_colors = np.asarray(input_colors, dtype=np.int64)
+    # C-contiguous int64 is the kernels' ABI.
+    input_colors = np.ascontiguousarray(input_colors, dtype=np.int64)
     delta = max(1, graph.max_degree)
     if validate_input:
         validate_proper_coloring(graph, input_colors, m)
     if params is None:
         params = MotherParameters.derive(m=m, delta=delta, d=d, k=k)
     params.require_int64()
+    if kernels is None:
+        path = {"implementation": "vectorized"}
+    else:
+        path = {"implementation": "jit", "kernel": kernels.kind}
 
     n = graph.n
     if n == 0:
@@ -126,37 +252,14 @@ def run_mother_algorithm_vectorized(
             color_space_size=params.color_space_size,
             parts=np.empty(0, dtype=np.int64),
             orientation=set() if with_orientation else None,
-            metadata={"params": params.describe(), "implementation": "vectorized"},
+            metadata={"params": params.describe(), **path},
         )
 
-    q, k_eff, dd = params.q, params.k, params.d
-    f = params.f
-    coeffs = sequence_coefficients(input_colors, params)
+    q, k_eff = params.q, params.k
     ws = workspace if workspace is not None else Workspace()
-
-    def eval_grid(verts: np.ndarray, xs: np.ndarray) -> np.ndarray:
-        """``p_{c(v)}(x)`` for every ``v`` in ``verts`` and ``x`` in ``xs``.
-
-        Horner in place on a reused workspace accumulator — identical modular
-        arithmetic, zero per-chunk allocation of the accumulator.
-        """
-        acc = ws.zeros("eval_grid", verts.size * xs.size).reshape(verts.size, xs.size)
-        for j in range(f, -1, -1):
-            np.multiply(acc, xs[None, :], out=acc)
-            np.add(acc, coeffs[verts, j][:, None], out=acc)
-            np.mod(acc, q, out=acc)
-        return acc
-
-    def eval_at(verts: np.ndarray, xs: np.ndarray) -> np.ndarray:
-        """``p_{c(verts[i])}(xs[i])`` — one position per vertex."""
-        acc = ws.zeros("eval_at", verts.size)
-        for j in range(f, -1, -1):
-            np.multiply(acc, xs, out=acc)
-            np.add(acc, coeffs[verts, j], out=acc)
-            np.mod(acc, q, out=acc)
-        return acc
-
-    indices = graph.indices
+    # The digit table and the CSR gathers below feed only the NumPy scan.
+    coeffs = sequence_coefficients(input_colors, params) if kernels is None else None
+    indptr, indices = graph.indptr, graph.indices
 
     colors = -np.ones(n, dtype=np.int64)
     parts = np.zeros(n, dtype=np.int64)
@@ -176,72 +279,27 @@ def run_mother_algorithm_vectorized(
             act = np.nonzero(active)[0]
             if act.size == 0:
                 break
-            positions, rows = graph.incident_csr_entries(act)
-            e_dst = ws.gather("e_dst", indices, positions)
+            if kernels is None:
+                positions, rows = graph.incident_csr_entries(act)
+                e_dst = ws.gather("e_dst", indices, positions)
             refresh = False
         rounds = batch + 1
         lo = batch * k_eff
         hi = min(lo + k_eff, q)
-        num_active = act.size
-
-        # first[r] = first trial position in [lo, hi) with <= d conflicts for
-        # act[r], or -1.  The trial axis is chunked to bound the temporaries
-        # at ~_CHUNK_CELLS edge-trial cells; rows that found their slot are
-        # dropped from later chunks (their first slot is already decided).
-        # All four per-batch arrays live in the workspace arena.
-        dst_active = ws.gather("dst_active", active, e_dst)
-        dst_colors = ws.gather("dst_colors", colors, e_dst)
-        first = ws.full("first", num_active, -1)
-        undone = ws.full("undone", num_active, True, dtype=bool)
-        r_sub, d_sub, a_sub, c_sub = rows, e_dst, dst_active, dst_colors
-        cstart = lo
-        while cstart < hi:
-            w = max(1, min(hi - cstart, _CHUNK_CELLS // max(1, r_sub.size)))
-            xs = np.arange(cstart, cstart + w, dtype=np.int64)
-            # Lazily evaluate exactly the vertices this chunk touches — the
-            # remaining rows' sources and their *active* neighbors (colored
-            # neighbors are compared by final color, no values needed) — at
-            # exactly the chunk's trial positions.
-            src_verts = act[r_sub]
-            need = np.unique(np.concatenate([src_verts, d_sub[a_sub]]))
-            table = eval_grid(need, xs)
-            src_vals = table[np.searchsorted(need, src_verts)]
-            nbr_pos = np.searchsorted(need, d_sub)
-            if need.size:
-                np.minimum(nbr_pos, need.size - 1, out=nbr_pos)
-            # A hit is an active neighbor trying the same value, or a colored
-            # neighbor whose final color equals the trial color
-            # (x % k) * q + value  <=>  final - (x % k) * q == value.
-            # (For colored neighbors nbr_pos is a clipped dummy; np.where
-            # discards that branch.)
-            hits = np.where(
-                a_sub[:, None],
-                table[nbr_pos] == src_vals,
-                (c_sub[:, None] - ((xs % k_eff) * q)[None, :]) == src_vals,
+        if kernels is None:
+            first, firstval = _first_trials_numpy(
+                act, rows, e_dst, active, colors, coeffs, params, lo, hi, ws
             )
-            # 2-D scatter-add over the compacted edges: conflict counts per
-            # (active row, trial position), via bincount on flattened indices.
-            er, el = np.nonzero(hits)
-            counts = np.bincount(
-                r_sub[er] * w + el, minlength=num_active * w
-            ).reshape(num_active, w)
-            ok = counts <= dd
-            ok[~undone] = False
-            found = ok.any(axis=1)
-            first[found] = cstart + np.argmax(ok[found], axis=1)
-            undone &= ~found
-            cstart += w
-            if cstart >= hi or not undone.any():
-                break
-            keep = undone[r_sub]
-            r_sub, d_sub = r_sub[keep], d_sub[keep]
-            a_sub, c_sub = a_sub[keep], c_sub[keep]
+        else:
+            first = ws.full("first", act.size, -1)
+            firstval = ws.take("firstval", act.size)
+            kernels.mother_first(act, indptr, indices, input_colors, params.f + 1, q,
+                                 k_eff, params.d, active, colors, lo, hi, first, firstval)
 
         adopters = first >= 0
         if np.any(adopters):
             verts = act[adopters]
-            xs = first[adopters]
-            colors[verts] = (xs % k_eff) * q + eval_at(verts, xs)
+            colors[verts] = (first[adopters] % k_eff) * q + firstval[adopters]
             parts[verts] = batch + 1
             active[verts] = False
             refresh = True
@@ -263,7 +321,7 @@ def run_mother_algorithm_vectorized(
         orientation=orientation,
         metadata={
             "params": params.describe(),
-            "implementation": "vectorized",
+            **path,
             "round_bound": params.round_bound,
         },
     )

@@ -1,14 +1,19 @@
 """The vectorized NumPy backend.
 
-Wraps the whole-graph CSR implementations — Algorithm 1 from
-:mod:`repro.core.vectorized` and the array color-class removal from
+Wraps the whole-graph CSR drivers — Algorithm 1 from
+:mod:`repro.core.vectorized` and the two reductions from
 :mod:`repro.core.reduce` — behind the :class:`repro.engine.base.Engine`
-contract.  Outputs are bit-identical to the reference backend
+contract.  Each primitive hands the drivers :attr:`ArrayEngine.kernels`:
+``None`` here, so every per-round step runs on NumPy; the jit backend
+(:class:`repro.engine.jit.JitEngine`) is this engine with a compiled
+provider in that slot.  Outputs are bit-identical to the reference backend
 (property-tested); the trade-off is that no per-message simulator metrics
 are produced.
 """
 
 from __future__ import annotations
+
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -17,6 +22,9 @@ from repro.core.params import MotherParameters
 from repro.core.results import ColoringResult
 from repro.engine.base import Engine
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.kernels_jit import KernelProvider
+
 __all__ = ["ArrayEngine"]
 
 
@@ -24,6 +32,9 @@ class ArrayEngine(Engine):
     """CSR-adjacency NumPy backend (the performance twin)."""
 
     name = "array"
+
+    #: The compiled kernels the CSR drivers run; ``None`` runs NumPy.
+    kernels: "KernelProvider | None" = None
 
     def run_mother(
         self,
@@ -47,6 +58,7 @@ class ArrayEngine(Engine):
             params=params,
             validate_input=validate_input,
             with_orientation=with_orientation,
+            kernels=self.kernels,
         )
 
     def remove_color_class(
@@ -58,7 +70,8 @@ class ArrayEngine(Engine):
         from repro.core.reduce import remove_color_class_reduction
 
         return remove_color_class_reduction(
-            graph, colors, target_colors=target_colors, backend="array"
+            graph, colors, target_colors=target_colors, backend="array",
+            kernels=self.kernels,
         )
 
     def kuhn_wattenhofer(
@@ -71,5 +84,6 @@ class ArrayEngine(Engine):
         from repro.core.reduce import kuhn_wattenhofer_reduction
 
         return kuhn_wattenhofer_reduction(
-            graph, colors, m, target_colors=target_colors, backend="array"
+            graph, colors, m, target_colors=target_colors, backend="array",
+            kernels=self.kernels,
         )

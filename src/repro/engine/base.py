@@ -15,7 +15,7 @@ Theorem 1.3 defective-class decomposition, ruling sets) is backend-generic
 composition living in :mod:`repro.core`; those functions accept a
 ``backend=`` argument and route the primitives through the selected engine.
 
-Two engines ship with the package (see :mod:`repro.engine.registry`):
+Three engines ship with the package (see :mod:`repro.engine.registry`):
 
 * ``"reference"`` — the model-faithful per-node CONGEST/LOCAL simulator.
   Every message is materialised and bit-accounted; results carry the
@@ -23,8 +23,11 @@ Two engines ship with the package (see :mod:`repro.engine.registry`):
 * ``"array"`` — the whole-graph NumPy twin over the CSR adjacency.  Produces
   bit-identical colors, parts, and round counts (property-tested), orders of
   magnitude faster, but reports no per-message metrics.
+* ``"jit"`` — the array engine's CSR drivers with compiled kernels as the
+  per-round step (numba or a C extension); the engine resolves the kernel
+  tier and falls back to the array path when none is available.
 
-The parity guarantee between the two is the load-bearing invariant of the
+The parity guarantee between them is the load-bearing invariant of the
 layer: any new backend must reproduce the reference outputs exactly.
 """
 

@@ -1,17 +1,22 @@
 """The compiled multi-threaded backend.
 
-Routes the three :class:`repro.engine.base.Engine` primitives through the
-fused kernels of :mod:`repro.core.kernels_jit` — numba ``@njit`` when numba
-is installed, an OpenMP C extension compiled on first use otherwise (see
-:mod:`repro.core.kernels_cc`).  Outputs are bit-identical to the array
+:class:`JitEngine` is the array backend with a compiled kernel provider:
+its three primitives run the same CSR drivers as
+:class:`repro.engine.array.ArrayEngine`, with the fused kernels of
+:mod:`repro.core.kernels_jit` as the per-round step — numba ``@njit`` when
+numba is installed, an OpenMP C extension compiled on first use otherwise
+(see :mod:`repro.core.kernels_cc`).  Outputs are bit-identical to the array
 backend (property-tested and golden-replayed); no per-message simulator
 metrics are produced.
 
-When neither compiled tier is available the engine degrades to the array
-backend, emitting a single :class:`RuntimeWarning` per process — results are
-still correct and identical, only slower.  ``REPRO_NUM_THREADS`` caps the
-kernel thread count; ``REPRO_JIT_DISABLE`` (comma-separated tier names) pins
-or disables tiers for testing.
+This engine is the one place that resolves the compiled tier
+(:func:`repro.core.kernels_jit.get_provider`); below it, ``kernels=None``
+means "run NumPy".  When neither compiled tier is available the provider is
+``None``, so the engine runs the array backend's path, emitting a single
+:class:`RuntimeWarning` per process — results are still correct and
+identical, only slower.  ``REPRO_NUM_THREADS`` caps the kernel thread
+count; ``REPRO_JIT_DISABLE`` (comma-separated tier names) pins or disables
+tiers for testing.
 """
 
 from __future__ import annotations
@@ -24,7 +29,6 @@ from repro.congest.graph import Graph
 from repro.core.params import MotherParameters
 from repro.core.results import ColoringResult
 from repro.engine.array import ArrayEngine
-from repro.engine.base import Engine
 from repro.testing import faults
 
 __all__ = ["JitEngine"]
@@ -59,14 +63,13 @@ def _reset_fallback_warning() -> None:
     _FALLBACK_WARNED = False
 
 
-class JitEngine(Engine):
+class JitEngine(ArrayEngine):
     """Compiled-kernel backend (numba or C tier; array fallback)."""
 
     name = "jit"
 
     def __init__(self):
         self._provider = _UNSET
-        self._fallback = ArrayEngine()
         self._warm = False
         self._warming = False
 
@@ -81,12 +84,10 @@ class JitEngine(Engine):
         if not self._warming:
             faults.fire("jit", primitive=primitive, tier=self.name)
 
-    # ------------------------------------------------------------------ #
-    # Provider resolution
-    # ------------------------------------------------------------------ #
-
-    def _resolve(self):
-        """Resolve the kernel provider once per engine, warning on fallback."""
+    @property
+    def kernels(self):
+        """The compiled provider, resolved once per engine; ``None`` (with a
+        once-per-process warning) when no compiled tier is available."""
         if self._provider is _UNSET:
             from repro.core.kernels_jit import get_provider
 
@@ -95,24 +96,8 @@ class JitEngine(Engine):
                 _warn_fallback_once()
         return self._provider
 
-    @property
-    def available(self) -> bool:
-        """Whether a compiled tier backs this engine (vs the array fallback)."""
-        return self._resolve() is not None
-
-    @property
-    def provider_kind(self) -> str | None:
-        """``"numba"`` / ``"cc"``, or ``None`` on the fallback path."""
-        provider = self._resolve()
-        return provider.kind if provider is not None else None
-
-    @property
-    def num_threads(self) -> int:
-        provider = self._resolve()
-        return provider.threads if provider is not None else 1
-
     # ------------------------------------------------------------------ #
-    # Primitives
+    # Primitives: the fault site, then the array backend's CSR drivers
     # ------------------------------------------------------------------ #
 
     def run_mother(
@@ -127,18 +112,9 @@ class JitEngine(Engine):
         with_orientation: bool = False,
     ) -> ColoringResult:
         self._fire_fault("run_mother")
-        provider = self._resolve()
-        if provider is None:
-            return self._fallback.run_mother(
-                graph, input_colors, m, d=d, k=k, params=params,
-                validate_input=validate_input, with_orientation=with_orientation,
-            )
-        from repro.core.kernels_jit import run_mother_jit
-
-        return run_mother_jit(
+        return super().run_mother(
             graph, input_colors, m, d=d, k=k, params=params,
             validate_input=validate_input, with_orientation=with_orientation,
-            kernels=provider,
         )
 
     def remove_color_class(
@@ -148,17 +124,7 @@ class JitEngine(Engine):
         target_colors: int | None = None,
     ) -> ColoringResult:
         self._fire_fault("remove_color_class")
-        provider = self._resolve()
-        if provider is None:
-            return self._fallback.remove_color_class(
-                graph, colors, target_colors=target_colors
-            )
-        from repro.core.reduce import remove_color_class_reduction
-
-        return remove_color_class_reduction(
-            graph, colors, target_colors=target_colors, backend="jit",
-            kernels=provider,
-        )
+        return super().remove_color_class(graph, colors, target_colors=target_colors)
 
     def kuhn_wattenhofer(
         self,
@@ -168,17 +134,7 @@ class JitEngine(Engine):
         target_colors: int | None = None,
     ) -> ColoringResult:
         self._fire_fault("kuhn_wattenhofer")
-        provider = self._resolve()
-        if provider is None:
-            return self._fallback.kuhn_wattenhofer(
-                graph, colors, m, target_colors=target_colors
-            )
-        from repro.core.reduce import kuhn_wattenhofer_reduction
-
-        return kuhn_wattenhofer_reduction(
-            graph, colors, m, target_colors=target_colors, backend="jit",
-            kernels=provider,
-        )
+        return super().kuhn_wattenhofer(graph, colors, m, target_colors=target_colors)
 
     # ------------------------------------------------------------------ #
     # Lifecycle / introspection
@@ -191,8 +147,7 @@ class JitEngine(Engine):
         if self._warm:
             return
         self._warm = True
-        provider = self._resolve()
-        if provider is None:
+        if self.kernels is None:
             return
         ring = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
         colors = np.array([0, 1, 2, 3], dtype=np.int64)
@@ -211,12 +166,12 @@ class JitEngine(Engine):
         call may trigger the one-time tier resolution (and the fallback
         warning); every later call is a cheap attribute read.
         """
-        kind = self.provider_kind
-        return f"jit:{kind}" if kind is not None else "jit:fallback-array"
+        provider = self.kernels
+        return f"jit:{provider.kind}" if provider is not None else "jit:fallback-array"
 
     def describe(self) -> dict:
         info = super().describe()
-        provider = self._resolve()
+        provider = self.kernels
         info["available"] = provider is not None
         if provider is None:
             info["fallback"] = "array"

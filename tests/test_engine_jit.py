@@ -10,6 +10,12 @@ Three layers of coverage:
   provider (the *exact* source the numba tier compiles) is parity-tested
   separately so the numba kernels' logic is verified even where numba is not
   installed; the C tier is exercised whenever a compiler is present.
+* **Shared drivers** — the one CSR driver per primitive
+  (``run_mother_algorithm_vectorized`` and the two reductions) runs the same
+  on ``kernels=None`` (NumPy) and on a provider, matches the reference path
+  on degenerate graphs, skips the NumPy-only CSR gathers when given kernels,
+  rejects negative input colors on every path, and never resolves the tier
+  itself: :class:`JitEngine` is the one caller of ``get_provider()``.
 * **Fallback** — with numba unimportable and the C tier disabled the engine
   degrades to the array backend with a single :class:`RuntimeWarning` per
   process and bit-identical results.
@@ -22,21 +28,25 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import make_input_coloring
+from helpers import edge_case_graphs, make_input_coloring
 from repro.congest import generators
+from repro.congest.graph import Graph
+from repro.congest.ids import InputColoringError
 from repro.core import pipelines
 from repro.core.kernels_jit import (
     get_provider,
     python_provider,
     requested_thread_cap,
     reset_provider_cache,
-    run_mother_jit,
 )
 from repro.core.reduce import (
     kuhn_wattenhofer_reduction,
     remove_color_class_reduction,
 )
+from repro.core.vectorized import run_mother_algorithm_vectorized
+from repro.core import kernels_jit
 from repro.engine import (
+    ArrayEngine,
     BatchRunner,
     GraphSpec,
     JitEngine,
@@ -123,7 +133,7 @@ class TestJitResolution:
         engine = JitEngine()
         engine.warmup()
         engine.warmup()
-        assert engine.num_threads >= 1
+        assert engine.describe()["threads"] >= 1
 
     def test_thread_cap_env(self, monkeypatch, pristine_provider):
         monkeypatch.setenv("REPRO_NUM_THREADS", "1")
@@ -232,7 +242,8 @@ class TestKernelTierParity:
         graph = generators.gnp(n, p, seed=seed)
         colors, m = make_input_coloring(graph, seed=seed)
         a = get_engine("array").run_mother(graph, colors, m, d=0, k=1)
-        b = run_mother_jit(graph, colors, m, d=0, k=1, kernels=python_provider())
+        b = run_mother_algorithm_vectorized(graph, colors, m, d=0, k=1,
+                                            kernels=python_provider())
         assert_coloring_parity(a, b)
         assert b.metadata["kernel"] == "python"
 
@@ -258,7 +269,7 @@ class TestKernelTierParity:
         graph = generators.random_regular(300, 6, seed=4)
         colors, m = make_input_coloring(graph, seed=4)
         a = get_engine("array").run_mother(graph, colors, m, d=0, k=1)
-        b = run_mother_jit(graph, colors, m, d=0, k=1, kernels=provider)
+        b = run_mother_algorithm_vectorized(graph, colors, m, d=0, k=1, kernels=provider)
         assert_coloring_parity(a, b)
 
     def test_numba_tier_when_numba_present(self):
@@ -270,7 +281,7 @@ class TestKernelTierParity:
             graph = generators.random_regular(300, 6, seed=4)
             colors, m = make_input_coloring(graph, seed=4)
             a = get_engine("array").run_mother(graph, colors, m, d=0, k=1)
-            b = run_mother_jit(graph, colors, m, d=0, k=1, kernels=provider)
+            b = run_mother_algorithm_vectorized(graph, colors, m, d=0, k=1, kernels=provider)
             assert_coloring_parity(a, b)
         finally:
             reset_provider_cache()
@@ -305,8 +316,9 @@ class TestFallback:
             warnings.simplefilter("error", RuntimeWarning)
             again = JitEngine()
             result2 = pipelines.delta_plus_one_coloring(graph, seed=3, backend=again)
-            assert not again.available
-            assert again.provider_kind is None
+            info = again.describe()
+            assert info["available"] is False
+            assert info["kernel"] is None
         assert_coloring_parity(expected, result2)
 
     def test_fallback_describe_and_primitives(self, monkeypatch, pristine_provider):
@@ -347,7 +359,146 @@ class TestFallback:
 
     def test_active_tier_names_the_compiled_tier(self):
         engine = JitEngine()
-        if engine.available:
-            assert engine.active_tier() == f"jit:{engine.provider_kind}"
+        info = engine.describe()
+        if info["available"]:
+            assert engine.active_tier() == f"jit:{info['kernel']}"
         assert get_engine("array").active_tier() == "array"
         assert get_engine("reference").active_tier() == "reference"
+
+
+# --------------------------------------------------------------------------- #
+# The shared CSR drivers: one per primitive, NumPy or kernels per round
+# --------------------------------------------------------------------------- #
+
+
+PATH3 = Graph(3, [(0, 1), (1, 2)])
+
+
+#: Every way to run a reduction: (backend, kernels).
+REDUCTION_PATHS = [
+    pytest.param("reference", None, id="reference"),
+    pytest.param("array", None, id="array"),
+    pytest.param("jit", None, id="jit"),
+    pytest.param("jit", python_provider(), id="python"),
+]
+
+
+class TestSharedDrivers:
+    @pytest.mark.parametrize("backend,kernels", REDUCTION_PATHS)
+    def test_removal_rejects_negative_colors(self, backend, kernels):
+        # The array path used to read -2 as column target - 2 ([-2, 2, 0]).
+        with pytest.raises(InputColoringError, match="non-negative"):
+            remove_color_class_reduction(PATH3, [-2, 5, 0], backend=backend, kernels=kernels)
+
+    @pytest.mark.parametrize("backend,kernels", REDUCTION_PATHS)
+    def test_kw_rejects_negative_colors(self, backend, kernels):
+        # The jit path used to disagree with reference and array ([0, 2, 1]).
+        with pytest.raises(InputColoringError, match="non-negative"):
+            kuhn_wattenhofer_reduction(PATH3, [-1, 3, 1], 6, backend=backend, kernels=kernels)
+
+    @pytest.mark.parametrize("backend,kernels", REDUCTION_PATHS)
+    def test_reductions_reject_wrong_shape_and_range(self, backend, kernels):
+        with pytest.raises(InputColoringError, match="shape"):
+            remove_color_class_reduction(PATH3, [0, 1], backend=backend, kernels=kernels)
+        with pytest.raises(InputColoringError, match="shape"):
+            kuhn_wattenhofer_reduction(PATH3, [[0, 1, 0]], 6, backend=backend, kernels=kernels)
+        with pytest.raises(InputColoringError, match="out of range"):
+            kuhn_wattenhofer_reduction(PATH3, [0, 6, 0], 6, backend=backend, kernels=kernels)
+
+    @pytest.mark.parametrize("name,graph", edge_case_graphs())
+    def test_python_tier_matches_reference_on_edge_cases(self, name, graph):
+        kernels = python_provider()
+        colors, m = make_input_coloring(graph, seed=2)
+        delta = graph.max_degree
+        ref = get_engine("reference")
+        for d, k in [(0, 1), (0, 3)] + ([(1, 2)] if delta >= 2 else []):
+            expected = ref.run_mother(graph, colors, m, d=d, k=k)
+            for tier in (None, kernels):
+                got = run_mother_algorithm_vectorized(graph, colors, m, d=d, k=k, kernels=tier)
+                assert_coloring_parity(expected, got)
+        for target in (None, delta + 4):
+            for tier in (None, kernels):
+                a = remove_color_class_reduction(graph, colors, target, backend="reference")
+                b = remove_color_class_reduction(graph, colors, target, backend="array",
+                                                 kernels=tier)
+                assert_coloring_parity(a, b)
+                ka = kuhn_wattenhofer_reduction(graph, colors, m, target, backend="reference")
+                kb = kuhn_wattenhofer_reduction(graph, colors, m, target, backend="array",
+                                                kernels=tier)
+                assert_coloring_parity(ka, kb)
+                assert ka.metadata["phases"] == kb.metadata["phases"]
+
+    def test_kernels_skip_the_numpy_csr_gathers(self, monkeypatch, random_regular8):
+        calls = []
+        original = Graph.incident_csr_entries
+
+        def counting(self, vertices):
+            calls.append(len(vertices))
+            return original(self, vertices)
+
+        monkeypatch.setattr(Graph, "incident_csr_entries", counting)
+        colors, m = make_input_coloring(random_regular8, seed=3)
+        kernels = python_provider()
+        mother = run_mother_algorithm_vectorized(random_regular8, colors, m, kernels=kernels)
+        removal = remove_color_class_reduction(random_regular8, colors, backend="array",
+                                               kernels=kernels)
+        assert mother.rounds >= 1 and removal.rounds >= 1
+        assert calls == []
+        # The NumPy step does gather, so the counter is live.
+        remove_color_class_reduction(random_regular8, colors, backend="array")
+        assert calls
+
+    def test_metadata_names_the_path(self, petersen):
+        colors, m = make_input_coloring(petersen, seed=1)
+        kernels = python_provider()
+        numpy_run = run_mother_algorithm_vectorized(petersen, colors, m)
+        kernel_run = run_mother_algorithm_vectorized(petersen, colors, m, kernels=kernels)
+        assert numpy_run.metadata["implementation"] == "vectorized"
+        assert "kernel" not in numpy_run.metadata
+        assert kernel_run.metadata["implementation"] == "jit"
+        assert kernel_run.metadata["kernel"] == "python"
+        for reduce, args in ((remove_color_class_reduction, ()),
+                             (kuhn_wattenhofer_reduction, (m,))):
+            assert reduce(petersen, colors, *args, backend="array").metadata["backend"] == "array"
+            assert reduce(petersen, colors, *args, backend="jit",
+                          kernels=kernels).metadata["backend"] == "jit"
+
+    def test_only_the_engine_resolves_the_tier(self, monkeypatch):
+        graph = generators.gnp(40, 0.2, seed=6)
+        colors, m = make_input_coloring(graph, seed=6)
+        resolved = JitEngine()
+        resolved.active_tier()  # resolve before get_provider is poisoned
+
+        def poisoned(refresh=False):
+            raise AssertionError("get_provider() called below the engine")
+
+        monkeypatch.setattr(kernels_jit, "get_provider", poisoned)
+        expected = get_engine("reference")
+        for engine in (ArrayEngine(), resolved):
+            assert_coloring_parity(expected.run_mother(graph, colors, m),
+                                   engine.run_mother(graph, colors, m))
+            assert_coloring_parity(expected.remove_color_class(graph, colors),
+                                   engine.remove_color_class(graph, colors))
+            assert_coloring_parity(expected.kuhn_wattenhofer(graph, colors, m),
+                                   engine.kuhn_wattenhofer(graph, colors, m))
+        for tier in (None, python_provider()):
+            assert_coloring_parity(
+                expected.run_mother(graph, colors, m),
+                run_mother_algorithm_vectorized(graph, colors, m, kernels=tier),
+            )
+            for backend in ("array", "jit"):
+                if backend == "jit" and tier is None:
+                    continue  # asks the jit engine: covered by the engine rows
+                assert_coloring_parity(
+                    expected.remove_color_class(graph, colors),
+                    remove_color_class_reduction(graph, colors, backend=backend, kernels=tier),
+                )
+                assert_coloring_parity(
+                    expected.kuhn_wattenhofer(graph, colors, m),
+                    kuhn_wattenhofer_reduction(graph, colors, m, backend=backend, kernels=tier),
+                )
+        # A JitEngine passed as the reductions' backend lends its own provider.
+        assert_coloring_parity(
+            expected.remove_color_class(graph, colors),
+            remove_color_class_reduction(graph, colors, backend=resolved),
+        )

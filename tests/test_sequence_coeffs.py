@@ -18,8 +18,8 @@ from hypothesis import given, settings, strategies as st
 from helpers import make_input_coloring
 from repro.congest import generators
 from repro.congest.graph import Graph
-from repro.core.kernels_jit import python_provider, run_mother_jit
-from repro.core.vectorized import sequence_coefficients
+from repro.core.kernels_jit import python_provider
+from repro.core.vectorized import run_mother_algorithm_vectorized, sequence_coefficients
 from repro.engine import JitEngine, get_engine
 
 #: Field sizes from the smallest prime to one near 2^31 (q*q must fit int64).
@@ -144,7 +144,8 @@ class TestInputLayouts:
         graph, colors, m = workload
         expected = get_engine("array").run_mother(graph, colors, m, d=1, k=2)
         for name, layout in self._layouts(colors).items():
-            got = run_mother_jit(graph, layout, m, d=1, k=2, kernels=python_provider())
+            got = run_mother_algorithm_vectorized(graph, layout, m, d=1, k=2,
+                                                  kernels=python_provider())
             assert np.array_equal(got.colors, expected.colors), name
 
 

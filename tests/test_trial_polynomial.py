@@ -6,7 +6,8 @@ low base-``q`` digits of ``c + q``, and ``x = 0`` short-circuits to
 ``(c + q) % q``.  These tests pin the python tier (the source the numba tier
 compiles) and the C tier to the NumPy path of the array backend
 (:func:`repro.core.vectorized.sequence_coefficients` plus Horner), pin
-``run_mother_jit`` to the array backend on runs where most vertices miss
+the CSR driver on the kernels (``run_mother_algorithm_vectorized(...,
+kernels=)``) to the array backend on runs where most vertices miss
 ``x = 0``, and pin the int64 field-size guard shared by the array and jit
 backends.  The C wrappers' ABI checks and the input-coloring layouts are in
 ``test_sequence_coeffs.py``.
@@ -20,9 +21,9 @@ import pytest
 
 from repro.congest import generators
 from repro.congest.graph import Graph
-from repro.core.kernels_jit import KernelProvider, python_provider, run_mother_jit
+from repro.core.kernels_jit import KernelProvider, python_provider
 from repro.core.params import INT64_MAX_Q, MotherParameters
-from repro.core.vectorized import sequence_coefficients
+from repro.core.vectorized import run_mother_algorithm_vectorized, sequence_coefficients
 from repro.engine import JitEngine, get_engine
 
 #: Field sizes from the smallest prime to one near 2^31.
@@ -183,7 +184,7 @@ class TestFirstTrial:
 
 
 class TestRunMotherParity:
-    """``run_mother_jit`` against the array backend at ``k = 1`` (one trial per
+    """The CSR driver on each kernel tier against the array backend at ``k = 1`` (one trial per
     batch) with every input color a multiple of ``q``: all polynomials agree at
     ``x = 0``, so most vertices go on to later batches."""
 
@@ -215,7 +216,8 @@ class TestRunMotherParity:
         assert (expected.parts > 1).mean() > 0.5, "most vertices should miss x = 0"
         for provider in providers:
             for name, layout in self._layouts(colors).items():
-                got = run_mother_jit(graph, layout, m, d=d, k=1, kernels=provider)
+                got = run_mother_algorithm_vectorized(graph, layout, m, d=d, k=1,
+                                                      kernels=provider)
                 assert np.array_equal(got.colors, expected.colors), (provider.kind, name)
                 assert np.array_equal(got.parts, expected.parts), (provider.kind, name)
                 assert got.rounds == expected.rounds, (provider.kind, name)
@@ -240,7 +242,8 @@ class TestInt64FieldGuard:
         graph, colors, m, params = self._case(TOO_LARGE_Q)
         runs = [lambda: get_engine("array").run_mother(graph, colors, m, params=params),
                 lambda: JitEngine().run_mother(graph, colors, m, params=params)]
-        runs += [lambda p=p: run_mother_jit(graph, colors, m, params=params, kernels=p)
+        runs += [lambda p=p: run_mother_algorithm_vectorized(graph, colors, m,
+                                                             params=params, kernels=p)
                  for p in providers]
         for run in runs:
             with pytest.raises(ValueError, match="overflows the int64"):
@@ -256,7 +259,8 @@ class TestInt64FieldGuard:
         assert expected.colors.tolist() == list(range(graph.n))
         assert expected.rounds == 1
         for provider in providers:
-            got = run_mother_jit(graph, colors, m, params=params, kernels=provider)
+            got = run_mother_algorithm_vectorized(graph, colors, m, params=params,
+                                                  kernels=provider)
             assert np.array_equal(got.colors, expected.colors), provider.kind
             assert np.array_equal(got.parts, expected.parts), provider.kind
 
